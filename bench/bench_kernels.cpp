@@ -1,11 +1,14 @@
 // Kernel before/after harness: the primitives behind serving — CAM
-// best-match search (PECAN-D stage 1), match-line dot reads (PECAN-A),
-// LUT accumulation (stage 2), SGEMM, im2col — each measured with the
-// scalar reference kernel ("before": column-at-a-time strided search,
-// naive i-j-k gemm) and the blocked kernel the hot path now runs
-// ("after": tiled [d, Lb] CAM scans, 6x16 register-blocked gemm), plus
-// end-to-end CamConv2d/CamLinear img/s. Emits BENCH_kernels.json so the
-// perf trajectory has checked-in data points.
+// best-match search (PECAN-D), match-line dot reads (PECAN-A), SGEMM,
+// im2col — each measured with the scalar reference kernel ("before":
+// column-at-a-time strided search, naive i-j-k gemm) and the blocked kernel
+// the hot path runs ("after": tiled [d, Lb] CAM scans, 6x16
+// register-blocked gemm), plus end-to-end CamConv2d/CamLinear img/s. The
+// blocked best-match side is the kernel serving runs,
+// CamArray::search_accumulate_block, accumulating into a one-row index LUT
+// (table[0][m] = m) so the row times the search plus a one-add epilogue.
+// Emits BENCH_kernels.json so the perf trajectory has checked-in data
+// points.
 //
 //   ./bench_kernels                 full run (~1 min), writes BENCH_kernels.json
 //   ./bench_kernels --smoke         seconds-scale CI run, same JSON schema
@@ -62,13 +65,22 @@ double rate(F&& body, double min_time) {
   return static_cast<double>(reps) / timer.elapsed_s();
 }
 
+/// One-row LUT whose column m holds m: accumulated into a row, it leaves
+/// each query's winning word index (exact in float for any p < 2^24).
+cam::LutMemory index_lut(std::int64_t p) {
+  Tensor table({1, p});
+  for (std::int64_t m = 0; m < p; ++m) table[m] = static_cast<float>(m);
+  return cam::LutMemory(std::move(table));
+}
+
 Row bench_cam_search(cam::SearchMetric metric, std::int64_t p, std::int64_t d, std::int64_t len,
                      double min_time) {
   Rng rng(static_cast<std::uint64_t>(p * 100 + d));
   cam::CamArray array(rng.randn({p, d}), metric);
   Tensor cols = rng.randn({d, len});
   cam::OpCounter counter;
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
+  const cam::LutMemory index = index_lut(p);
+  std::vector<float> hits(static_cast<std::size_t>(len));
   std::vector<float> scores(static_cast<std::size_t>(p * cam::kCamTileMax));
 
   const bool l1 = metric == cam::SearchMetric::L1BestMatch;
@@ -95,8 +107,8 @@ Row bench_cam_search(cam::SearchMetric metric, std::int64_t p, std::int64_t d, s
           const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
           nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
           if (l1) {
-            array.search_block(qtile.data(), lb, hits.data() + l0, counter);
-            acc += hits[static_cast<std::size_t>(l0)];
+            array.search_accumulate_block(qtile.data(), lb, index, hits.data() + l0, len, counter);
+            acc += static_cast<std::int64_t>(hits[static_cast<std::size_t>(l0)]);
           } else {
             array.similarity_scores_block(qtile.data(), lb, scores.data(), counter);
             acc += static_cast<std::int64_t>(scores[0]);
@@ -118,10 +130,11 @@ Row bench_cam_search(cam::SearchMetric metric, std::int64_t p, std::int64_t d, s
 }
 
 // Quantized CAM search vs the blocked FLOAT kernel in the same process: the
-// "scalar" side here is deliberately the float32 search_block, so the row's
-// speedup reads "int8/binary over float spec" — the number the quantized
-// operating point has to justify — and stays hardware-portable the same way
-// the other ratio rows do. Rows are qcam/-prefixed so CI can gate exactly
+// "scalar" side here is deliberately the Float32 search_accumulate_block
+// (same index LUT on both sides), so the row's speedup reads "int8/binary
+// over float spec" — the number the quantized operating point has to
+// justify — and stays hardware-portable the same way the other ratio rows
+// do. Rows are qcam/-prefixed so CI can gate exactly
 // this family (check_bench.py --gate-prefix qcam/) with absolute floors.
 Row bench_qcam_search(cam::SearchMetric metric, cam::CamPrecision prec, std::int64_t p,
                       std::int64_t d, std::int64_t len, double min_time) {
@@ -130,15 +143,16 @@ Row bench_qcam_search(cam::SearchMetric metric, cam::CamPrecision prec, std::int
   array.prepare_quantized(prec);
   Tensor cols = rng.randn({d, len});
   cam::OpCounter counter;
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
+  const cam::LutMemory index = index_lut(p);
+  std::vector<float> hits(static_cast<std::size_t>(len));
   std::vector<float> qtile(static_cast<std::size_t>(d * cam::kCamTileMax));
   const auto sweep = [&](cam::CamPrecision pr) {
     for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
       const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
       nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-      array.search_block(qtile.data(), lb, hits.data() + l0, counter, pr);
+      array.search_accumulate_block(qtile.data(), lb, index, hits.data() + l0, len, counter, pr);
     }
-    g_sink = static_cast<float>(hits[0]);
+    g_sink = hits[0];
   };
   const double float_rate = rate([&] { sweep(cam::CamPrecision::Float32); }, min_time);
   const double quant_rate = rate([&] { sweep(prec); }, min_time);
@@ -156,89 +170,6 @@ Row bench_qcam_search(cam::SearchMetric metric, cam::CamPrecision prec, std::int
                            ? static_cast<double>((p + 1) * ((d + 63) / 64) * 8)
                            : static_cast<double>((p + 1) * d);
   row.gb_per_s = row.blocked * bytes / 1e9;
-  return row;
-}
-
-// Fused search->accumulate epilogue vs the two-pass pipeline it replaces
-// (search_block into an int64 hits array, then LutMemory::accumulate_block
-// re-reading it). Both sides include the tile pack, so the speedup isolates
-// exactly what fusion buys: no hits round-trip through memory, no per-hit
-// bounds re-check in the LUT sweep.
-Row bench_fused_epilogue(cam::CamPrecision prec, std::int64_t p, std::int64_t d,
-                         std::int64_t cout, std::int64_t len, double min_time) {
-  Rng rng(static_cast<std::uint64_t>(p * 100 + d + cout));
-  cam::CamArray array(rng.randn({p, d}), cam::SearchMetric::L1BestMatch);
-  array.prepare_quantized(prec);
-  cam::LutMemory lut(rng.randn({cout, p}));
-  cam::OpCounter counter;
-  Tensor out({cout, len});
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  Tensor cols = rng.randn({d, len});
-  std::vector<float> qtile(static_cast<std::size_t>(d * cam::kCamTileMax));
-
-  const double two_pass_rate = rate(
-      [&] {
-        for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
-          const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
-          nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-          array.search_block(qtile.data(), lb, hits.data() + l0, counter, prec);
-          lut.accumulate_block(hits.data() + l0, lb, out.data() + l0, len, counter);
-        }
-        g_sink = out[0];
-      },
-      min_time);
-  const double fused_rate = rate(
-      [&] {
-        for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
-          const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
-          nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-          array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, counter, prec);
-        }
-        g_sink = out[0];
-      },
-      min_time);
-
-  Row row;
-  row.name = std::string("qcam/fused_l1_") + cam::precision_name(prec) + "_p" + std::to_string(p) +
-             "_d" + std::to_string(d) + "_c" + std::to_string(cout);
-  row.unit = "searches/s";
-  row.scalar = two_pass_rate * static_cast<double>(len);
-  row.blocked = fused_rate * static_cast<double>(len);
-  return row;
-}
-
-Row bench_lut(std::int64_t cout, std::int64_t p, std::int64_t len, double min_time) {
-  Rng rng(static_cast<std::uint64_t>(cout + p));
-  cam::LutMemory lut(rng.randn({cout, p}));
-  cam::OpCounter counter;
-  Tensor out({cout, len});
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  for (std::int64_t l = 0; l < len; ++l) hits[static_cast<std::size_t>(l)] = (l * 7) % p;
-
-  const double scalar_rate = rate(
-      [&] {
-        for (std::int64_t l = 0; l < len; ++l) {
-          lut.accumulate(hits[static_cast<std::size_t>(l)], out.data() + l, len, counter);
-        }
-        g_sink = out[0];
-      },
-      min_time);
-  const double blocked_rate = rate(
-      [&] {
-        for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
-          const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
-          lut.accumulate_block(hits.data() + l0, lb, out.data() + l0, len, counter);
-        }
-        g_sink = out[0];
-      },
-      min_time);
-
-  Row row;
-  row.name = "lut_accumulate_c" + std::to_string(cout) + "_p" + std::to_string(p);
-  row.unit = "accumulates/s";
-  row.scalar = scalar_rate * static_cast<double>(len);
-  row.blocked = blocked_rate * static_cast<double>(len);
-  row.gb_per_s = row.blocked * static_cast<double>(cout * 8) / 1e9;  // read col + rmw out
   return row;
 }
 
@@ -550,30 +481,6 @@ int main(int argc, char** argv) {
     r.gate_min_speedup = 0.8;
     rows.push_back(r);
   }
-  // Fused epilogue vs two-pass, float and both quantized planes: fusion must
-  // never lose to the pipeline it replaced.
-  {
-    Row r = bench_fused_epilogue(cam::CamPrecision::Float32, 32, 16, 128, len, min_time);
-    r.gate_min_speedup = 0.9;
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_fused_epilogue(cam::CamPrecision::Float32, 64, 9, 128, len, min_time);
-    r.gate_min_speedup = 0.9;
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_fused_epilogue(cam::CamPrecision::Int8, 32, 16, 128, len, min_time);
-    r.gate_min_speedup = 0.9;
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_fused_epilogue(cam::CamPrecision::Binary, 32, 16, 128, len, min_time);
-    r.gate_min_speedup = 0.9;
-    rows.push_back(r);
-  }
-  rows.push_back(bench_lut(128, 32, len, min_time));
-  rows.push_back(bench_lut(512, 32, len, min_time));
   rows.push_back(bench_sgemm(64, min_time));
   rows.push_back(bench_sgemm(128, min_time));
   rows.push_back(bench_sgemm(256, min_time));

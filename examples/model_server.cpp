@@ -140,9 +140,19 @@ int main(int argc, char** argv) {
   const std::int64_t requests = args.get_int("requests", 48);
   const int clients = static_cast<int>(args.get_int("clients", 2));
   const bool listen = args.has("listen");
-  const auto listen_port = static_cast<std::uint16_t>(args.get_int("listen", 0));
+  const std::int64_t listen_port = args.get_int("listen", 0);
   const std::string host = args.get("host", "127.0.0.1");
-  const int net_workers = static_cast<int>(args.get_int("net-workers", 2));
+  const std::int64_t net_workers = args.get_int("net-workers", 2);
+  // Checked before anything is deployed: a port outside 16 bits would
+  // otherwise wrap silently (70000 -> 4464), and a zero-executor NetServer
+  // only throws after all three models are built.
+  if (listen_port < 0 || listen_port > 65535 || net_workers < 1) {
+    std::fprintf(stderr,
+                 "usage: model_server [--listen <port 0..65535>] [--net-workers <n >= 1>]\n"
+                 "model_server: invalid --listen %lld or --net-workers %lld\n",
+                 static_cast<long long>(listen_port), static_cast<long long>(net_workers));
+    return 2;
+  }
   // CAM operating point of the CAM-exported deploy (float32 | int8 | binary).
   const cam::CamPrecision cam_precision =
       cam::precision_from_name(args.get("cam-precision", "float32"));
@@ -188,7 +198,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // --- network serving mode --------------------------------------------------
-  if (listen) return serve_forever(server, host, listen_port, net_workers);
+  if (listen) {
+    return serve_forever(server, host, static_cast<std::uint16_t>(listen_port),
+                         static_cast<int>(net_workers));
+  }
 
   // --- 2. concurrent traffic + 3. a hot-swap in the middle -------------------
   ModelTraffic traffic[3] = {{"lenet5-d", {1, 28, 28}},

@@ -656,15 +656,6 @@ void CamArray::search_block_core(const float* queries, std::int64_t lb, std::int
   record_usage_block_i32(hit32, lb);
 }
 
-void CamArray::search_block(const float* queries, std::int64_t lb, std::int64_t* hits,
-                            OpCounter& counter, CamPrecision precision) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  std::int32_t hit32[kCamTileMax];
-  search_block_core(queries, lb, hit32, counter, precision);
-  for (std::int64_t l = 0; l < lb; ++l) hits[l] = hit32[l];
-}
-
 void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
                                        float* out, std::int64_t out_stride, OpCounter& counter,
                                        CamPrecision precision) const {
@@ -676,11 +667,11 @@ void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, co
   std::int32_t hit32[kCamTileMax];
   search_block_core(queries, lb, hit32, counter, precision);
   // Fused epilogue: the winners go straight into the LUT row sweep while
-  // still hot. hits are < p_ by construction, so unlike accumulate_block no
-  // per-element bounds re-check is needed. Each output element receives
-  // EXACTLY ONE add (one LUT entry per query column), so any sweep order is
-  // bitwise-equal to the two-pass path — freedom the gathered sweep below
-  // uses that the int64-hit spec loop cannot.
+  // still hot. hits are < p_ by construction, so unlike
+  // LutMemory::accumulate no per-element bounds check is needed. Each
+  // output element receives EXACTLY ONE add (one LUT entry per query
+  // column), so any sweep order is bitwise-equal to per-column scalar
+  // accumulates — freedom the gathered sweep below uses.
   const float* table = lut.table().data();
   const std::int64_t cout = lut.cout();
 #if defined(__AVX512F__)
@@ -813,7 +804,7 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
   // Column softmax of the [p, lb] score tile, in place — same per-element
   // operations as the scalar path (float exp, double denominator, one float
   // normalize multiply) so the Float32 fused path stays bitwise-identical
-  // to the unfused sequence.
+  // to the scalar similarity_scores + softmax + weighted_accumulate spec.
   std::int32_t hit32[kCamTileMax];
   for (std::int64_t l = 0; l < lb; ++l) {
     float mx = scores[l];
@@ -873,33 +864,13 @@ void CamArray::similarity_scores_block(const float* queries, std::int64_t lb, fl
   count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
 }
 
-void CamArray::record_usage_block(const std::int64_t* hits, std::int64_t lb) const {
+void CamArray::record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const {
   if (lb <= 0) return;
   if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
   // Aggregate before touching the shared histogram: lb hits usually land on
   // a handful of distinct words, so this turns lb atomics into a few. The
   // scratch vector is kept all-zero between calls (entries are reset as
   // they are flushed), so only `touched` distinct words cost anything.
-  thread_local std::vector<std::uint32_t> counts;
-  if (counts.size() < static_cast<std::size_t>(p_)) counts.resize(static_cast<std::size_t>(p_), 0);
-  std::int64_t touched[kCamTileMax];
-  std::int64_t nt = 0;
-  for (std::int64_t l = 0; l < lb; ++l) {
-    const std::size_t m = static_cast<std::size_t>(hits[l]);
-    if (counts[m]++ == 0) touched[nt++] = hits[l];
-  }
-  for (std::int64_t t = 0; t < nt; ++t) {
-    const std::size_t m = static_cast<std::size_t>(touched[t]);
-    std::atomic_ref<std::uint64_t>(usage_[m]).fetch_add(counts[m], std::memory_order_relaxed);
-    counts[m] = 0;
-  }
-}
-
-void CamArray::record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  // Same distinct-word aggregation as record_usage_block, over the 32-bit
-  // in-register hits of the blocked/fused kernels.
   thread_local std::vector<std::uint32_t> counts;
   if (counts.size() < static_cast<std::size_t>(p_)) counts.resize(static_cast<std::size_t>(p_), 0);
   std::int32_t touched[kCamTileMax];

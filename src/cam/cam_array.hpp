@@ -87,28 +87,21 @@ class CamArray {
   /// Increments counter.adds (L1: 2*p*d) or counter.adds/muls (dot: p*d).
   std::int64_t search(const float* query, std::int64_t stride, OpCounter& counter) const;
 
-  /// Blocked best-match search over a tile of lb <= kCamTileMax queries
-  /// packed dim-major: component i of query l at queries[i * lb + l] (see
-  /// nn::pack_cols_tile). Scans every stored word across the whole tile with
+  /// Blocked best-match search fused with the LUT accumulate (Algorithm 1
+  /// over a tile): resolves the best match of each of lb <= kCamTileMax
+  /// queries packed dim-major — component i of query l at queries[i * lb + l]
+  /// (see nn::pack_cols_tile) — and adds lut column hit[l] into column l of
+  /// the [cout, lb] output tile while the hit indices are still in
+  /// registers. Scans every stored word across the whole tile with
   /// unit-stride inner loops and issues ONE relaxed atomic aggregate per
-  /// call (cam_searches += lb, adds/muls += per-search cost * lb) plus one
-  /// usage-histogram atomic per *distinct* hit word. At Float32, hits[l] is
-  /// bitwise-identical to search(query_l, ...) — same scan order, same
-  /// summation order, same lowest-index tie-break. Int8/Binary resolve the
-  /// same argmin/argmax over their quantized distances (deterministic, same
-  /// lowest-index tie-break) and require prepare_quantized() first.
-  void search_block(const float* queries, std::int64_t lb, std::int64_t* hits,
-                    OpCounter& counter, CamPrecision precision = CamPrecision::Float32) const;
-
-  /// Fused search -> LUT accumulate epilogue: resolves the tile's best
-  /// matches exactly like search_block (including usage recording and op
-  /// accounting) and immediately adds lut column hit[l] into column l of the
-  /// [cout, lb] output tile while the hit indices are still in registers —
-  /// no int64 hits round-trip through memory, no per-call bounds re-check in
-  /// the LUT. Output is bitwise-identical to search_block followed by
-  /// LutMemory::accumulate_block (same row sweep, same add order), and the
-  /// counter sees the same totals (adds += cout*lb, lut_reads += lb on top
-  /// of the search cost). lut.entries() must equal word_count().
+  /// call (cam_searches += lb, search cost * lb, adds += cout*lb,
+  /// lut_reads += lb) plus one usage-histogram atomic per *distinct* hit
+  /// word. At Float32 every hit is bitwise-identical to search(query_l, ...)
+  /// — same scan order, same summation order, same lowest-index tie-break —
+  /// so the output equals lb scalar search + LutMemory::accumulate calls.
+  /// Int8/Binary resolve the same argmin/argmax over their quantized
+  /// distances (deterministic, same lowest-index tie-break) and require
+  /// prepare_quantized() first. lut.entries() must equal word_count().
   void search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
                                float* out, std::int64_t out_stride, OpCounter& counter,
                                CamPrecision precision = CamPrecision::Float32) const;
@@ -118,7 +111,7 @@ class CamArray {
   /// reads at Int8), softmaxes each column in place in `scores` (size
   /// >= p * lb), records the pre-softmax argmax in the usage histogram, and
   /// weighted-accumulates into the [cout, lb] output tile. At Float32 the
-  /// result is bitwise-identical to the unfused
+  /// result is bitwise-identical to the
   /// similarity_scores_block + softmax + weighted_accumulate_block sequence.
   /// Binary has no meaningful scores — callers map Binary to Int8 first;
   /// passing Binary here throws.
@@ -149,10 +142,9 @@ class CamArray {
                          OpCounter& counter) const;
 
   /// Blocked match-line read: scores[m * lb + l] = <word_m, query_l> for a
-  /// dim-major query tile (layout as in search_block). One atomic aggregate
-  /// per call; each score bitwise-equal to similarity_scores. Does NOT
-  /// record usage — the caller records the post-softmax argmax, ideally via
-  /// record_usage_block.
+  /// dim-major query tile (layout as in search_accumulate_block). One atomic
+  /// aggregate per call; each score bitwise-equal to similarity_scores. Does
+  /// NOT record usage — the fused softmax epilogue records the argmax.
   void similarity_scores_block(const float* queries, std::int64_t lb, float* scores,
                                OpCounter& counter) const;
 
@@ -163,9 +155,6 @@ class CamArray {
     std::atomic_ref<std::uint64_t>(usage_[static_cast<std::size_t>(word)])
         .fetch_add(1, std::memory_order_relaxed);
   }
-  /// Aggregated histogram update for a tile of hits: one relaxed atomic per
-  /// distinct word instead of one per hit.
-  void record_usage_block(const std::int64_t* hits, std::int64_t lb) const;
   const std::vector<std::uint64_t>& usage() const { return usage_; }
   void reset_usage() const { std::fill(usage_.begin(), usage_.end(), 0); }
 
@@ -197,6 +186,8 @@ class CamArray {
  private:
   void search_block_core(const float* queries, std::int64_t lb, std::int32_t* hit32,
                          OpCounter& counter, CamPrecision precision) const;
+  /// Aggregated histogram update for a tile of hits: one relaxed atomic per
+  /// distinct word instead of one per hit.
   void record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const;
 
   Tensor words_;

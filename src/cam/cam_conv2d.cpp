@@ -99,7 +99,7 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   // per-tile and lane-local, so lanes never touch the caller's arena. Both
   // modes run the fused search->accumulate epilogue: winners (or softmax
   // weights) flow straight into the LUT sweep without a hits round-trip,
-  // bitwise-identical to the unfused two-pass sequence at Float32.
+  // bitwise-identical to the scalar column-at-a-time spec at Float32.
   const CamPrecision eff = effective_precision();
   const auto tile_body = [&](const float* image, float* out_s, std::int64_t l0, std::int64_t lb,
                              float* qtile, float* scores) {

@@ -18,7 +18,8 @@
 //     is ever materialized for CAM layers). Trivial opcodes (PING,
 //     LIST_MODELS, STATS) are answered inline; work-bearing ones (INFER,
 //     INFER_BATCH, DEPLOY) are handed to the executor pool through a
-//     util::BoundedQueue so a slow forward never stalls the event loop.
+//     util::PriorityBucketQueue (one class per wire priority) so a slow
+//     forward never stalls the event loop.
 //
 //   * Executor threads. Each pops a request, drives the Server (submit +
 //     future wait — so the engines' micro-batching coalesces requests
@@ -136,7 +137,6 @@ class NetServer {
   void executor_loop();
   void accept_ready();
   void handle_readable(const std::shared_ptr<Conn>& conn);
-  void handle_writable(const std::shared_ptr<Conn>& conn);
   /// Decodes and routes one frame; returns false when the connection must
   /// close (stream poisoned).
   bool handle_frame(const std::shared_ptr<Conn>& conn, const wire::FrameView& frame);

@@ -15,6 +15,7 @@
 #include "cam/cam_array.hpp"
 #include "cam/convert.hpp"
 #include "cam/nonideal.hpp"
+#include "index_lut.hpp"
 #include "models/lenet.hpp"
 #include "ops/energy_model.hpp"
 #include "runtime/engine.hpp"
@@ -251,7 +252,7 @@ TEST(MatchlineNoise, ScalarAndBlockedSearchAgreeWithNoiseOn) {
   Tensor queries = rng.randn({d, lb});  // dim-major tile
   cam::OpCounter counter;
   std::vector<std::int64_t> blocked(static_cast<std::size_t>(lb));
-  array.search_block(queries.data(), lb, blocked.data(), counter);
+  camtest::tile_hits(array, queries.data(), lb, blocked.data(), counter);
   for (std::int64_t l = 0; l < lb; ++l) {
     EXPECT_EQ(array.search(queries.data() + l, lb, counter), blocked[static_cast<std::size_t>(l)])
         << "query " << l;

@@ -1,9 +1,9 @@
-// Blocked-kernel equivalence tests: the tiled CAM search / LUT accumulate
-// and the register-blocked sgemm must reproduce the scalar reference
-// kernels BITWISE across odd tail sizes, both match metrics, and any thread
-// count — and charge the OpCounter identically. These invariants are what
-// lets the serving hot path swap kernels without perturbing the paper's
-// numbers.
+// Blocked-kernel equivalence tests: the fused tiled CAM search -> LUT
+// accumulate kernel and the register-blocked sgemm must reproduce the
+// scalar reference kernels BITWISE across odd tail sizes, both match
+// metrics, and any thread count — and charge the OpCounter identically.
+// These invariants are what lets the serving hot path swap kernels without
+// perturbing the paper's numbers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,6 +15,7 @@
 #include "cam/cam_array.hpp"
 #include "cam/cam_conv2d.hpp"
 #include "cam/lut.hpp"
+#include "index_lut.hpp"
 #include "nn/im2col.hpp"
 #include "nn/infer_context.hpp"
 #include "tensor/rng.hpp"
@@ -29,6 +30,8 @@ using cam::kCamTileMax;
 using cam::LutMemory;
 using cam::OpCounter;
 using cam::SearchMetric;
+using camtest::index_lut;
+using camtest::tile_hits;
 
 struct CounterSnapshot {
   std::uint64_t adds, muls, searches, lut_reads, adds_q, muls_q, xors;
@@ -48,6 +51,9 @@ const std::int64_t kLens[] = {1, 5, 63, 64, 65, 130};
 const std::int64_t kDims[] = {1, 2, 9};
 const std::int64_t kWords[] = {1, 32};
 
+// Winners are read through an index LUT (index_lut.hpp), so the scalar
+// spec is search() followed by LutMemory::accumulate on the same LUT: hits,
+// counters (search cost + len adds + len lut_reads) and usage all match.
 TEST(SearchBlock, BitwiseMatchesScalarAcrossTails) {
   for (const SearchMetric metric : {SearchMetric::L1BestMatch, SearchMetric::DotProduct}) {
     for (const std::int64_t len : kLens) {
@@ -55,24 +61,26 @@ TEST(SearchBlock, BitwiseMatchesScalarAcrossTails) {
         for (const std::int64_t p : kWords) {
           Rng rng(static_cast<std::uint64_t>(1000 + len * 100 + d * 10 + p));
           CamArray array(rng.randn({p, d}), metric);
+          const LutMemory index = index_lut(p);
           Tensor cols = rng.randn({d, len});  // queries are strided columns
 
           OpCounter scalar_counter;
-          std::vector<std::int64_t> scalar_hits(static_cast<std::size_t>(len));
+          std::vector<float> scalar_hits(static_cast<std::size_t>(len), 0.f);
           for (std::int64_t l = 0; l < len; ++l) {
-            scalar_hits[static_cast<std::size_t>(l)] =
-                array.search(cols.data() + l, len, scalar_counter);
+            index.accumulate(array.search(cols.data() + l, len, scalar_counter),
+                             scalar_hits.data() + l, 1, scalar_counter);
           }
           const std::vector<std::uint64_t> scalar_usage = array.usage();
           array.reset_usage();
 
           OpCounter blocked_counter;
-          std::vector<std::int64_t> blocked_hits(static_cast<std::size_t>(len));
+          std::vector<float> blocked_hits(static_cast<std::size_t>(len), 0.f);
           std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
           for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
             const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
             nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-            array.search_block(qtile.data(), lb, blocked_hits.data() + l0, blocked_counter);
+            array.search_accumulate_block(qtile.data(), lb, index, blocked_hits.data() + l0, len,
+                                          blocked_counter);
           }
 
           EXPECT_EQ(scalar_hits, blocked_hits)
@@ -205,36 +213,10 @@ TEST(SearchBlock, RejectsOversizedTile) {
   CamArray array(rng.randn({4, 3}), SearchMetric::L1BestMatch);
   OpCounter counter;
   std::vector<float> queries(static_cast<std::size_t>(3 * (kCamTileMax + 1)));
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(kCamTileMax + 1));
-  EXPECT_THROW(array.search_block(queries.data(), kCamTileMax + 1, hits.data(), counter),
+  std::vector<float> out(static_cast<std::size_t>(kCamTileMax + 1));
+  EXPECT_THROW(array.search_accumulate_block(queries.data(), kCamTileMax + 1, index_lut(4),
+                                             out.data(), kCamTileMax + 1, counter),
                std::invalid_argument);
-}
-
-TEST(LutBlock, AccumulateBlockMatchesScalar) {
-  Rng rng(11);
-  const std::int64_t cout = 13, p = 8, len = 130;
-  LutMemory lut(rng.randn({cout, p}));
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  for (std::int64_t l = 0; l < len; ++l) hits[static_cast<std::size_t>(l)] = (l * 5) % p;
-
-  Tensor scalar_out = rng.randn({cout, len});
-  Tensor blocked_out = scalar_out;
-  OpCounter scalar_counter, blocked_counter;
-  for (std::int64_t l = 0; l < len; ++l) {
-    lut.accumulate(hits[static_cast<std::size_t>(l)], scalar_out.data() + l, len, scalar_counter);
-  }
-  for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-    const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-    lut.accumulate_block(hits.data() + l0, lb, blocked_out.data() + l0, len, blocked_counter);
-  }
-  for (std::int64_t i = 0; i < scalar_out.numel(); ++i) {
-    ASSERT_EQ(scalar_out[i], blocked_out[i]) << i;
-  }
-  EXPECT_TRUE(CounterSnapshot(scalar_counter) == CounterSnapshot(blocked_counter));
-
-  std::int64_t bad = p;
-  EXPECT_THROW(lut.accumulate_block(&bad, 1, blocked_out.data(), len, blocked_counter),
-               std::out_of_range);
 }
 
 TEST(LutBlock, WeightedBlockMatchesScalar) {
@@ -498,7 +480,8 @@ std::vector<std::int64_t> quantized_reference_hits(const CamArray& array, const 
   return hits;
 }
 
-// Drives search_block over the tile grid the conv kernels use.
+// Drives the production kernel over the tile grid the conv kernels use and
+// reads its winners through an index LUT.
 std::vector<std::int64_t> blocked_hits(const CamArray& array, const Tensor& cols,
                                        CamPrecision precision, OpCounter& counter) {
   const std::int64_t d = array.word_dim(), len = cols.dim(1);
@@ -507,7 +490,7 @@ std::vector<std::int64_t> blocked_hits(const CamArray& array, const Tensor& cols
   for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
     const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
     nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-    array.search_block(qtile.data(), lb, hits.data() + l0, counter, precision);
+    tile_hits(array, qtile.data(), lb, hits.data() + l0, counter, precision);
   }
   return hits;
 }
@@ -539,11 +522,12 @@ TEST(QuantizedSearch, Int8L1MatchesScalarQuantizedReference) {
         EXPECT_EQ(array.usage(), usage_of(hits, p));
 
         // Quantized searches land in the int8-lane counters; the float
-        // add/mul ledger must stay untouched.
+        // add ledger holds only the index LUT's cout*len = len adds.
         const CounterSnapshot snap(counter);
         EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, static_cast<std::uint64_t>(2 * p * d * len));
-        EXPECT_EQ(snap.adds, 0u);
+        EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));
+        EXPECT_EQ(snap.lut_reads, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.muls, 0u);
         EXPECT_EQ(snap.muls_q, 0u);
         EXPECT_EQ(snap.xors, 0u);
@@ -572,7 +556,8 @@ TEST(QuantizedSearch, Int8DotMatchesScalarQuantizedReference) {
         EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, static_cast<std::uint64_t>(p * d * len));
         EXPECT_EQ(snap.muls_q, static_cast<std::uint64_t>(p * d * len));
-        EXPECT_EQ(snap.adds, 0u);
+        EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));  // index-LUT adds
+        EXPECT_EQ(snap.lut_reads, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.muls, 0u);
       }
     }
@@ -600,7 +585,8 @@ TEST(QuantizedSearch, BinaryHammingMatchesSignReference) {
         const std::int64_t bwords = (d + 63) / 64;
         EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.xors, static_cast<std::uint64_t>(p * bwords * len));
-        EXPECT_EQ(snap.adds, 0u);
+        EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));  // index-LUT adds
+        EXPECT_EQ(snap.lut_reads, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, 0u);
       }
     }
@@ -614,20 +600,20 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   std::int64_t hit = 0;
 
   CamArray l1(rng.randn({4, 9}), SearchMetric::L1BestMatch);
-  EXPECT_THROW(l1.search_block(queries.data(), 1, &hit, counter, CamPrecision::Int8),
+  EXPECT_THROW(tile_hits(l1, queries.data(), 1, &hit, counter, CamPrecision::Int8),
                std::logic_error);
-  EXPECT_THROW(l1.search_block(queries.data(), 1, &hit, counter, CamPrecision::Binary),
+  EXPECT_THROW(tile_hits(l1, queries.data(), 1, &hit, counter, CamPrecision::Binary),
                std::logic_error);
   EXPECT_FALSE(l1.quantized_ready(CamPrecision::Int8));
   l1.prepare_quantized(CamPrecision::Int8);
   EXPECT_TRUE(l1.quantized_ready(CamPrecision::Int8));
-  EXPECT_NO_THROW(l1.search_block(queries.data(), 1, &hit, counter, CamPrecision::Int8));
+  EXPECT_NO_THROW(tile_hits(l1, queries.data(), 1, &hit, counter, CamPrecision::Int8));
 
   CamArray dot(rng.randn({4, 9}), SearchMetric::DotProduct);
   dot.prepare_quantized(CamPrecision::Binary);
   // The sign plane carries no magnitudes: binary dot search and binary
   // softmax reads both refuse instead of silently degrading.
-  EXPECT_THROW(dot.search_block(queries.data(), 1, &hit, counter, CamPrecision::Binary),
+  EXPECT_THROW(tile_hits(dot, queries.data(), 1, &hit, counter, CamPrecision::Binary),
                std::invalid_argument);
   LutMemory lut(rng.randn({3, 4}));
   std::vector<float> scores(static_cast<std::size_t>(4 * kCamTileMax));
@@ -643,7 +629,11 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
 
 // ------------------------------------------------- fused search epilogue
 
-TEST(FusedEpilogue, MatchesTwoPassAtEveryPrecision) {
+// The fused kernel against the per-column scalar spec: the winner from
+// scalar search() (Float32) or the independent quantized reference
+// (Int8/Binary, whose documented search cost is charged by hand), then
+// scalar LutMemory::accumulate. Output bitwise, counters and usage exact.
+TEST(FusedEpilogue, MatchesScalarSpecAtEveryPrecision) {
   constexpr std::int64_t kP = 32, kD = 9, kCout = 13;
   for (const CamPrecision precision :
        {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
@@ -653,23 +643,34 @@ TEST(FusedEpilogue, MatchesTwoPassAtEveryPrecision) {
       if (precision != CamPrecision::Float32) array.prepare_quantized(precision);
       LutMemory lut(rng.randn({kCout, kP}));
       Tensor cols = rng.randn({kD, len});
-      std::vector<float> qtile(static_cast<std::size_t>(kD * kCamTileMax));
 
-      // Two-pass reference: search_block then LUT accumulate_block.
-      OpCounter two_pass_counter;
-      Tensor expected({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-      std::vector<std::int64_t> hits(static_cast<std::size_t>(kCamTileMax));
-      for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-        const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-        nn::pack_cols_tile(cols.data(), len, kD, l0, lb, qtile.data());
-        array.search_block(qtile.data(), lb, hits.data(), two_pass_counter, precision);
-        lut.accumulate_block(hits.data(), lb, expected.data() + l0, len, two_pass_counter);
+      OpCounter spec_counter;
+      std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
+      if (precision == CamPrecision::Float32) {
+        for (std::int64_t l = 0; l < len; ++l) {
+          hits[static_cast<std::size_t>(l)] = array.search(cols.data() + l, len, spec_counter);
+        }
+      } else {
+        hits = quantized_reference_hits(array, cols, precision);
+        spec_counter.cam_searches.fetch_add(static_cast<std::uint64_t>(len));
+        if (precision == CamPrecision::Int8) {
+          spec_counter.adds_q.fetch_add(static_cast<std::uint64_t>(2 * kP * kD * len));
+        } else {
+          spec_counter.xor_popcounts.fetch_add(
+              static_cast<std::uint64_t>(kP * ((kD + 63) / 64) * len));
+        }
       }
-      const std::vector<std::uint64_t> two_pass_usage = array.usage();
+      Tensor expected({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
+      for (std::int64_t l = 0; l < len; ++l) {
+        lut.accumulate(hits[static_cast<std::size_t>(l)], expected.data() + l, len, spec_counter);
+      }
+      const std::vector<std::uint64_t> spec_usage =
+          precision == CamPrecision::Float32 ? array.usage() : usage_of(hits, kP);
       array.reset_usage();
 
       OpCounter fused_counter;
       Tensor actual({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
+      std::vector<float> qtile(static_cast<std::size_t>(kD * kCamTileMax));
       for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
         const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
         nn::pack_cols_tile(cols.data(), len, kD, l0, lb, qtile.data());
@@ -681,9 +682,9 @@ TEST(FusedEpilogue, MatchesTwoPassAtEveryPrecision) {
                             static_cast<std::size_t>(kCout * len) * sizeof(float)),
                 0)
           << "precision=" << static_cast<int>(precision) << " len=" << len;
-      EXPECT_TRUE(CounterSnapshot(fused_counter) == CounterSnapshot(two_pass_counter))
+      EXPECT_TRUE(CounterSnapshot(fused_counter) == CounterSnapshot(spec_counter))
           << "counter drift at precision=" << static_cast<int>(precision) << " len=" << len;
-      EXPECT_EQ(array.usage(), two_pass_usage);
+      EXPECT_EQ(array.usage(), spec_usage);
       array.reset_usage();
     }
   }

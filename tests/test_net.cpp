@@ -7,7 +7,8 @@
 // concurrent connections and across a mid-traffic hot-swap with zero lost
 // requests; error statuses (UNKNOWN_MODEL, BAD_REQUEST, BAD_FRAME,
 // OVERLOADED) map to the right wire codes; graceful drain flushes every
-// in-flight reply; the poll() fallback serves identically.
+// in-flight reply; the poll() fallback serves identically; the STATS reply
+// carries exactly the keys docs/STATS_REFERENCE.md lists.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -18,9 +19,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -461,6 +465,95 @@ TEST(NetServer, PingListModelsStats) {
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_GE(stats.frames, 5u);
   EXPECT_EQ(stats.replies_error, 1u);  // the ghost stats lookup
+  util::set_global_threads(1);
+}
+
+// ------------------------------------------------ STATS reply key contract
+
+/// Keys of the depth-1 members of the JSON object text `json`; keys of
+/// nested objects are skipped. (The STATS reply has no escaped quotes.)
+std::vector<std::string> object_keys(std::string_view json) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == '"') {
+      const std::size_t end = json.find('"', i + 1);
+      if (end == std::string_view::npos) break;
+      if (depth == 1 && end + 1 < json.size() && json[end + 1] == ':') {
+        keys.emplace_back(json.substr(i + 1, end - i - 1));
+      }
+      i = end;
+    }
+  }
+  return keys;
+}
+
+/// The element objects of the array member `name` of the object `json`.
+std::vector<std::string_view> array_objects(std::string_view json, const std::string& name) {
+  std::vector<std::string_view> objects;
+  std::size_t i = json.find("\"" + name + "\":[");
+  if (i == std::string_view::npos) return objects;
+  int depth = 0;
+  std::size_t start = 0;
+  for (i = json.find('[', i) + 1; i < json.size() && !(depth == 0 && json[i] == ']'); ++i) {
+    if (json[i] == '{' && depth++ == 0) start = i;
+    if (json[i] == '}' && --depth == 0) objects.push_back(json.substr(start, i - start + 1));
+  }
+  return objects;
+}
+
+/// Backticked keys of the STATS_REFERENCE.md key-table row whose first cell
+/// is `row`.
+std::vector<std::string> documented_keys(const std::string& row) {
+  const std::filesystem::path doc =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / "docs/STATS_REFERENCE.md";
+  std::ifstream in(doc);
+  const std::string prefix = "| " + row + " |";
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    std::vector<std::string> keys;
+    for (std::size_t a = line.find('`', prefix.size()); a != std::string::npos;) {
+      const std::size_t b = line.find('`', a + 1);
+      if (b == std::string::npos) break;
+      keys.push_back(line.substr(a + 1, b - a - 1));
+      a = line.find('`', b + 1);
+    }
+    return keys;
+  }
+  ADD_FAILURE() << "no '" << row << "' row in " << doc;
+  return {};
+}
+
+TEST(NetServer, StatsReplyKeysMatchStatsReference) {
+  util::set_global_threads(2);
+  runtime::Server server;
+  runtime::EngineConfig config;
+  config.path = runtime::ExecPath::Cam;  // the CAM path populates banks[]
+  config.priority_classes = 2;
+  config.bank_config.banks = 2;
+  server.deploy("lenet5-d", lenet(7), config);
+  runtime::NetServer net(server, loopback_config());
+  net.start();
+  runtime::NetClient client("127.0.0.1", net.port());
+  const std::string json = client.stats_json("lenet5-d");
+  net.stop();
+
+  EXPECT_EQ(object_keys(json), documented_keys("top level")) << json;
+  const std::vector<std::string_view> classes = array_objects(json, "classes");
+  ASSERT_EQ(classes.size(), 2u) << json;
+  for (const std::string_view entry : classes) {
+    EXPECT_EQ(object_keys(entry), documented_keys("each `classes[]` entry")) << entry;
+  }
+  const std::vector<std::string_view> banks = array_objects(json, "banks");
+  ASSERT_EQ(banks.size(), 2u) << json;
+  for (const std::string_view entry : banks) {
+    EXPECT_EQ(object_keys(entry), documented_keys("each `banks[]` entry")) << entry;
+  }
   util::set_global_threads(1);
 }
 

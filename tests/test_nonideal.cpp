@@ -8,6 +8,7 @@
 #include "cam/convert.hpp"
 #include "cam/nonideal.hpp"
 #include "core/pecan_conv2d.hpp"
+#include "index_lut.hpp"
 #include "models/lenet.hpp"
 #include "nn/loss.hpp"
 #include "tensor/rng.hpp"
@@ -158,7 +159,7 @@ TEST(Nonideal, AffineQparamsZeroRangeStaysValid) {
   std::int64_t hits[8];
   for (const CamPrecision precision :
        {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
-    array.search_block(tile.data(), 8, hits, counter, precision);
+    camtest::tile_hits(array, tile.data(), 8, hits, counter, precision);
     for (int l = 0; l < 8; ++l) {
       EXPECT_EQ(hits[l], 0) << "precision=" << static_cast<int>(precision) << " l=" << l;
     }

@@ -346,7 +346,6 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   runtime::EngineConfig config;
   config.max_batch = 8;
   config.slo_target_ms = 1e-6;  // unreachable: every windowed p99 breaches it
-  config.ctl_min_batch = 1;
   runtime::Engine engine(std::move(served), config);
   EXPECT_EQ(engine.stats().eff_max_batch, 8);  // controller starts at the config
 
@@ -367,7 +366,7 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   // 32 requests against a micro-ms SLO: the multiplicative decrease reaches
   // the floor (8 -> 4 -> 2 -> 1 takes three post-window batches; at least
   // 24 batches ran after the 8-sample window filled).
-  EXPECT_EQ(stats.eff_max_batch, config.ctl_min_batch);
+  EXPECT_EQ(stats.eff_max_batch, 1);
   EXPECT_LT(stats.eff_batch_wait_us, config.batch_wait.count());
   EXPECT_EQ(stats.requests, 32u);
 }
