@@ -32,6 +32,7 @@
 #include "cam/convert.hpp"
 #include "cam/op_counter.hpp"
 #include "ops/energy_model.hpp"
+#include "util/stats_schema.hpp"
 
 namespace pecan::cam {
 
@@ -61,15 +62,16 @@ struct BankAssignment {
   std::int64_t words = 0;  ///< prototypes stored (occupancy contribution)
 };
 
+#define PECAN_BANK_STATS(X)                                                                       \
+  X(std::int64_t, arrays, 0, "count", "subspace arrays placed on this bank")                      \
+  X(std::int64_t, words, 0, "count", "prototype words stored")                                    \
+  X(std::int64_t, capacity_words, 0, "count", "configured capacity (0 = unbounded)")              \
+  X(double, occupancy, 0.0, "ratio", "words / capacity (0 when unbounded)")                       \
+  X(std::uint64_t, searches, 0, "count", "best-match queries served by this bank")                \
+  X(double, energy_pj, 0.0, "pJ", "exact energy of this bank's op ledger")
+
 /// Live per-bank snapshot (EngineStats::banks / the STATS wire verb).
-struct BankStats {
-  std::int64_t arrays = 0;          ///< subspace arrays placed on this bank
-  std::int64_t words = 0;           ///< prototype words stored
-  std::int64_t capacity_words = 0;  ///< configured capacity (0 = unbounded)
-  double occupancy = 0.0;           ///< words / capacity (0 when unbounded)
-  std::uint64_t searches = 0;       ///< best-match queries served by this bank
-  double energy_pj = 0.0;           ///< exact energy of this bank's op ledger
-};
+PECAN_STATS_STRUCT(BankStats, PECAN_BANK_STATS)
 
 class BankMap {
  public:

@@ -827,17 +827,7 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
     for (std::int64_t m = 0; m < p_; ++m) scores[m * lb + l] *= inv;
   }
   record_usage_block_i32(hit32, lb);
-  lut.weighted_accumulate_block(scores, lb, out, out_stride, counter);
-  // The weighted accumulate ledgers inside LutMemory (adds/muls cout*p per
-  // column + one lut_read per column); mirror the same amounts into the
-  // bank port so the bank ledger stays equal to this array's share of the
-  // network total. Keep in sync with LutMemory::weighted_accumulate_block.
-  if (bank_port_) {
-    const std::uint64_t wacc = static_cast<std::uint64_t>(lut.cout() * p_ * lb);
-    bank_port_->adds.fetch_add(wacc, std::memory_order_relaxed);
-    bank_port_->muls.fetch_add(wacc, std::memory_order_relaxed);
-    bank_port_->lut_reads.fetch_add(static_cast<std::uint64_t>(lb), std::memory_order_relaxed);
-  }
+  lut.weighted_accumulate_block(scores, lb, out, out_stride, counter, bank_port_);
 }
 
 void CamArray::similarity_scores_block(const float* queries, std::int64_t lb, float* scores,

@@ -6,7 +6,9 @@
 #include <deque>
 #include <poll.h>
 #include <stdexcept>
+#include <string>
 #include <sys/socket.h>
+#include <type_traits>
 #include <unistd.h>
 #include <utility>
 
@@ -25,6 +27,51 @@
 #endif
 
 namespace pecan::runtime {
+
+// ---------------------------------------------------------------- STATS JSON
+
+namespace {
+
+template <typename V>
+void append_json(std::string& out, const V& v);
+
+/// Appends `"name":value` for every schema field of stats struct `s`, each
+/// after `sep` (',' once the first is written).
+template <typename S>
+void append_fields(std::string& out, const S& s, char sep = ',') {
+  for_each_field(s, [&](const char* name, const char* /*unit*/, const auto& value) {
+    out += std::exchange(sep, ',');
+    out += '"' + std::string(name) + "\":";
+    append_json(out, value);
+  });
+}
+
+/// Integers print as they are, reals with three decimals, the CAM precision
+/// by name; a vector becomes an array and a stats struct an object.
+template <typename V>
+void append_json(std::string& out, const V& v) {
+  if constexpr (std::is_same_v<V, cam::CamPrecision>) {
+    out += '"' + std::string(cam::precision_name(v)) + '"';
+  } else if constexpr (std::is_floating_point_v<V>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    out += buf;
+  } else if constexpr (std::is_integral_v<V>) {
+    out += std::to_string(v);
+  } else if constexpr (requires { v.size(); }) {
+    out += '[';
+    for (const auto& entry : v) {
+      if (out.back() != '[') out += ',';
+      append_json(out, entry);
+    }
+    out += ']';
+  } else {
+    append_fields(out, v, '{');
+    out += '}';
+  }
+}
+
+}  // namespace
 
 // ------------------------------------------------------------------ plumbing
 
@@ -418,59 +465,13 @@ bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::Fram
     case wire::Opcode::Stats: {
       const std::string model(frame.model);
       try {
-        const ModelServerStats s = server_.stats(model);
-        const auto ms = [](double v) {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.3f", v);
-          return std::string(buf);
-        };
-        // Built as a string (not a fixed snprintf buffer): the per-class
-        // array grows with the engine's priority_classes.
-        std::string json = "{\"model\":\"" + model +
-                           "\",\"generation\":" + std::to_string(s.generation) +
-                           ",\"deploys\":" + std::to_string(s.deploys) +
-                           ",\"shed\":" + std::to_string(s.shed_total) +
-                           ",\"cam_precision\":\"" + cam::precision_name(s.cam_precision) +
-                           "\",\"requests\":" + std::to_string(s.engine.requests) +
-                           ",\"batches\":" + std::to_string(s.engine.batches) +
-                           ",\"expired\":" + std::to_string(s.engine.expired) +
-                           ",\"queue_depth\":" + std::to_string(s.engine.queue_depth) +
-                           ",\"in_flight\":" + std::to_string(s.engine.in_flight) +
-                           ",\"p50_ms\":" + ms(s.engine.p50_ms) +
-                           ",\"p99_ms\":" + ms(s.engine.p99_ms) +
-                           ",\"eff_max_batch\":" + std::to_string(s.engine.eff_max_batch) +
-                           ",\"eff_batch_wait_us\":" +
-                           std::to_string(s.engine.eff_batch_wait_us) +
-                           ",\"depth_cap\":" + std::to_string(s.engine.depth_cap) +
-                           ",\"energy_pj\":" + ms(s.engine.energy_pj) +
-                           ",\"energy_per_inference_nj\":" +
-                           ms(s.engine.energy_per_inference_nj) +
-                           ",\"noise_shadow_samples\":" +
-                           std::to_string(s.engine.noise_shadow_samples) +
-                           ",\"accuracy_under_variation\":" +
-                           ms(s.engine.accuracy_under_variation) +
-                           ",\"classes\":[";
-        for (std::size_t c = 0; c < s.engine.classes.size(); ++c) {
-          const EngineClassStats& cls = s.engine.classes[c];
-          if (c > 0) json += ',';
-          json += "{\"requests\":" + std::to_string(cls.requests) +
-                  ",\"shed\":" + std::to_string(cls.shed) +
-                  ",\"expired\":" + std::to_string(cls.expired) +
-                  ",\"depth\":" + std::to_string(cls.depth) +
-                  ",\"p50_ms\":" + ms(cls.p50_ms) + ",\"p99_ms\":" + ms(cls.p99_ms) + "}";
-        }
-        json += "],\"banks\":[";
-        for (std::size_t b = 0; b < s.engine.banks.size(); ++b) {
-          const cam::BankStats& bank = s.engine.banks[b];
-          if (b > 0) json += ',';
-          json += "{\"arrays\":" + std::to_string(bank.arrays) +
-                  ",\"words\":" + std::to_string(bank.words) +
-                  ",\"capacity_words\":" + std::to_string(bank.capacity_words) +
-                  ",\"occupancy\":" + ms(bank.occupancy) +
-                  ",\"searches\":" + std::to_string(bank.searches) +
-                  ",\"energy_pj\":" + ms(bank.energy_pj) + "}";
-        }
-        json += "]}";
+        // Every schema field of the model, its engine (with classes[] and
+        // banks[]) and this front end, keyed by C++ member name.
+        std::string json = "{\"model\":\"" + model + '"';
+        append_fields(json, server_.stats(model));
+        json += ",\"net\":";
+        append_json(json, stats());
+        json += '}';
         wire::encode_frame(reply, frame.opcode, wire::Status::Ok, frame.request_id, model, json);
         post_reply(conn, std::move(reply), wire::Status::Ok);
       } catch (const UnknownModelError& e) {

@@ -87,19 +87,21 @@ struct NetServerConfig {
   EngineConfig deploy_config{};
 };
 
-struct NetServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::int64_t connections_active = 0;
-  std::uint64_t frames = 0;          ///< well-formed frames decoded
-  std::uint64_t replies_ok = 0;      ///< replies sent with Status::Ok
-  std::uint64_t replies_error = 0;   ///< replies sent with any error status
-  std::uint64_t sheds = 0;           ///< OVERLOADED replies (admission control)
-  std::uint64_t deadline_expired = 0;  ///< DEADLINE_EXCEEDED replies
-  std::uint64_t decode_errors = 0;   ///< BAD_FRAME replies (connection closed)
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::int64_t jobs_in_flight = 0;   ///< dispatched jobs without a posted reply (gauge)
-};
+#define PECAN_NET_SERVER_STATS(X)                                                                 \
+  X(std::uint64_t, connections_accepted, 0, "count", "TCP connections accepted")                  \
+  X(std::int64_t, connections_active, 0, "gauge", "connections open at snapshot time")            \
+  X(std::uint64_t, frames, 0, "count", "well-formed frames decoded")                              \
+  X(std::uint64_t, replies_ok, 0, "count", "replies sent with Status::Ok")                        \
+  X(std::uint64_t, replies_error, 0, "count", "replies sent with any error status")               \
+  X(std::uint64_t, sheds, 0, "count", "OVERLOADED replies (admission control)")                   \
+  X(std::uint64_t, deadline_expired, 0, "count", "DEADLINE_EXCEEDED replies")                     \
+  X(std::uint64_t, decode_errors, 0, "count", "BAD_FRAME replies (connection closed)")            \
+  X(std::uint64_t, bytes_in, 0, "bytes", "bytes read off sockets")                                \
+  X(std::uint64_t, bytes_out, 0, "bytes", "reply bytes written to sockets")                       \
+  X(std::int64_t, jobs_in_flight, 0, "gauge", "dispatched jobs without a posted reply")
+
+/// TCP front-end counters (NetServer::stats(); the "net" object of STATS).
+PECAN_STATS_STRUCT(NetServerStats, PECAN_NET_SERVER_STATS)
 
 class NetServer {
  public:

@@ -52,22 +52,23 @@
 #include "runtime/engine.hpp"
 #include "runtime/model_artifact.hpp"
 #include "runtime/model_registry.hpp"
+#include "util/stats_schema.hpp"
 
 namespace pecan::runtime {
 
+#define PECAN_MODEL_SERVER_STATS(X)                                                               \
+  X(std::uint64_t, generation, 0, "ordinal", "engine generation currently serving")               \
+  X(std::uint64_t, deploys, 0, "count", "successful deploys of this name")                        \
+  X(std::uint64_t, shed_total, 0, "count", "rejected submits across all generations")             \
+  X(cam::CamPrecision, cam_precision, cam::CamPrecision::Float32, "enum",                         \
+    "CAM operating point of the CURRENT generation. A hot-swap that changes precision flips "     \
+    "this atomically with the generation; leased engines of the old generation keep serving "     \
+    "at their own precision until the last lease drops.")                                         \
+  X(EngineStats, engine, {}, "struct", "live engine snapshot (current generation)")
+
 /// Per-model view returned by Server::stats(): the live engine snapshot plus
 /// the server's cumulative, swap-surviving counters.
-struct ModelServerStats {
-  std::uint64_t generation = 0;   ///< engine generation currently serving
-  std::uint64_t deploys = 0;      ///< successful deploys of this name
-  std::uint64_t shed_total = 0;   ///< rejected submits across all generations
-  /// CAM operating point of the CURRENT generation. A hot-swap that changes
-  /// precision flips this atomically with the generation; leased engines of
-  /// the old generation keep serving at their own precision until the last
-  /// lease drops.
-  cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
-  EngineStats engine;             ///< live engine snapshot (current generation)
-};
+PECAN_STATS_STRUCT(ModelServerStats, PECAN_MODEL_SERVER_STATS)
 
 class Server {
  public:

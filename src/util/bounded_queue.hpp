@@ -33,17 +33,17 @@
 // this is a queue-level guarantee: Engine::submit takes its sample by
 // value, so at THAT boundary a shed request's tensor is gone either way.)
 //
-// Per-class depth and shed counters are kept here, where every admission
-// decision lands, so EngineStats can report them without a second ledger.
-// A soft capacity below the hard bound lets a controller shrink the
-// admission window at runtime (deadline-derived queue caps): pushes respect
-// min(capacity, soft capacity) while items already queued stay poppable.
+// The queue reports per-class depth but keeps no shed counters: the caller
+// sees every shed (a Full result or an evicted item) and books it in its own
+// ledger (EngineStats::classes[].shed for the Engine). A soft capacity below
+// the hard bound lets a controller shrink the admission window at runtime
+// (deadline-derived queue caps): pushes respect min(capacity, soft
+// capacity) while items already queued stay poppable.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -65,26 +65,19 @@ class PriorityBucketQueue {
   explicit PriorityBucketQueue(std::size_t classes, std::size_t capacity = 0)
       : capacity_(capacity),
         soft_capacity_(capacity),
-        buckets_(classes == 0 ? 1 : classes),
-        depth_(buckets_.size(), 0),
-        shed_(buckets_.size(), 0) {}
+        buckets_(classes == 0 ? 1 : classes) {}
 
   PriorityBucketQueue(const PriorityBucketQueue&) = delete;
   PriorityBucketQueue& operator=(const PriorityBucketQueue&) = delete;
 
-  std::size_t classes() const { return buckets_.size(); }
-
   /// Non-blocking push into class `cls` (clamped to the top class): sheds the
-  /// INCOMING item when full. Counts the shed against `cls`.
+  /// INCOMING item when full.
   PushResult try_push(T& item, std::size_t cls) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       cls = clamp_class(cls);
       if (closed_) return PushResult::Closed;
-      if (at_capacity()) {
-        ++shed_[cls];
-        return PushResult::Full;
-      }
+      if (at_capacity()) return PushResult::Full;
       enqueue(std::move(item), cls);
     }
     cv_.notify_all();
@@ -95,8 +88,7 @@ class PriorityBucketQueue {
   /// newest item of the lowest occupied class STRICTLY below `cls` is evicted
   /// into `evicted` (the caller owns failing it) and `item` is accepted. If
   /// `cls` is itself (tied for) the lowest, the incoming item sheds instead
-  /// (Full, item untouched). Sheds are counted against the evicted/rejected
-  /// item's class.
+  /// (Full, item untouched).
   PushResult try_push_evict(T& item, std::size_t cls, std::optional<T>& evicted) {
     evicted.reset();
     {
@@ -111,15 +103,10 @@ class PriorityBucketQueue {
             break;
           }
         }
-        if (victim >= buckets_.size()) {
-          ++shed_[cls];
-          return PushResult::Full;
-        }
+        if (victim >= buckets_.size()) return PushResult::Full;
         evicted = std::move(buckets_[victim].back());
         buckets_[victim].pop_back();
-        --depth_[victim];
         --total_;
-        ++shed_[victim];
       }
       enqueue(std::move(item), cls);
     }
@@ -212,13 +199,7 @@ class PriorityBucketQueue {
 
   std::size_t depth(std::size_t cls) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return depth_[clamp_class(cls)];
-  }
-
-  /// Items shed from class `cls` (try_push rejections + evictions), lifetime.
-  std::uint64_t shed(std::size_t cls) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shed_[clamp_class(cls)];
+    return buckets_[clamp_class(cls)].size();
   }
 
   /// Controller knob: tighten admission to min(capacity, n) without touching
@@ -247,7 +228,6 @@ class PriorityBucketQueue {
 
   void enqueue(T&& item, std::size_t cls) {
     buckets_[cls].push_back(std::move(item));
-    ++depth_[cls];
     ++total_;
   }
 
@@ -264,7 +244,6 @@ class PriorityBucketQueue {
     const std::size_t c = top_class();
     T item = std::move(buckets_[c].front());
     buckets_[c].pop_front();
-    --depth_[c];
     --total_;
     return item;
   }
@@ -274,8 +253,6 @@ class PriorityBucketQueue {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::deque<T>> buckets_;
-  std::vector<std::size_t> depth_;
-  std::vector<std::uint64_t> shed_;
   std::size_t total_ = 0;
   bool closed_ = false;
 };

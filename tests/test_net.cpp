@@ -8,7 +8,7 @@
 // requests; error statuses (UNKNOWN_MODEL, BAD_REQUEST, BAD_FRAME,
 // OVERLOADED) map to the right wire codes; graceful drain flushes every
 // in-flight reply; the poll() fallback serves identically; the STATS reply
-// carries exactly the keys docs/STATS_REFERENCE.md lists.
+// carries exactly the stats schema's fields at every level.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -19,13 +19,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <map>
+#include <regex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "models/lenet.hpp"
@@ -470,66 +470,36 @@ TEST(NetServer, PingListModelsStats) {
 
 // ------------------------------------------------ STATS reply key contract
 
-/// Keys of the depth-1 members of the JSON object text `json`; keys of
-/// nested objects are skipped. (The STATS reply has no escaped quotes.)
-std::vector<std::string> object_keys(std::string_view json) {
-  std::vector<std::string> keys;
-  int depth = 0;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-    } else if (c == '"') {
-      const std::size_t end = json.find('"', i + 1);
-      if (end == std::string_view::npos) break;
-      if (depth == 1 && end + 1 < json.size() && json[end + 1] == ':') {
-        keys.emplace_back(json.substr(i + 1, end - i - 1));
-      }
-      i = end;
-    }
+/// The reply's key skeleton: every `"key":` and bracket, values dropped.
+std::string json_skeleton(const std::string& json) {
+  static const std::regex token(R"re("\w+":|[{}\[\]])re");
+  std::string out;
+  for (std::sregex_iterator it(json.begin(), json.end(), token), end; it != end; ++it) {
+    out += it->str();
   }
-  return keys;
+  return out;
 }
 
-/// The element objects of the array member `name` of the object `json`.
-std::vector<std::string_view> array_objects(std::string_view json, const std::string& name) {
-  std::vector<std::string_view> objects;
-  std::size_t i = json.find("\"" + name + "\":[");
-  if (i == std::string_view::npos) return objects;
-  int depth = 0;
-  std::size_t start = 0;
-  for (i = json.find('[', i) + 1; i < json.size() && !(depth == 0 && json[i] == ']'); ++i) {
-    if (json[i] == '{' && depth++ == 0) start = i;
-    if (json[i] == '}' && --depth == 0) objects.push_back(json.substr(start, i - start + 1));
+/// The skeleton the schema prescribes for `v`: a stats struct is an object
+/// of its fields in declaration order, a vector an array of its entries.
+template <typename V>
+std::string schema_skeleton(const V& v) {
+  std::string out;
+  if constexpr (requires { v.size(); }) {
+    out += '[';
+    for (const auto& entry : v) out += schema_skeleton(entry);
+    out += ']';
+  } else if constexpr (std::is_class_v<V>) {
+    out += '{';
+    for_each_field(v, [&](const char* name, const char*, const auto& value) {
+      out += '"' + std::string(name) + "\":" + schema_skeleton(value);
+    });
+    out += '}';
   }
-  return objects;
+  return out;
 }
 
-/// Backticked keys of the STATS_REFERENCE.md key-table row whose first cell
-/// is `row`.
-std::vector<std::string> documented_keys(const std::string& row) {
-  const std::filesystem::path doc =
-      std::filesystem::path(__FILE__).parent_path().parent_path() / "docs/STATS_REFERENCE.md";
-  std::ifstream in(doc);
-  const std::string prefix = "| " + row + " |";
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind(prefix, 0) != 0) continue;
-    std::vector<std::string> keys;
-    for (std::size_t a = line.find('`', prefix.size()); a != std::string::npos;) {
-      const std::size_t b = line.find('`', a + 1);
-      if (b == std::string::npos) break;
-      keys.push_back(line.substr(a + 1, b - a - 1));
-      a = line.find('`', b + 1);
-    }
-    return keys;
-  }
-  ADD_FAILURE() << "no '" << row << "' row in " << doc;
-  return {};
-}
-
-TEST(NetServer, StatsReplyKeysMatchStatsReference) {
+TEST(NetServer, StatsReplyKeysMatchStatsSchema) {
   util::set_global_threads(2);
   runtime::Server server;
   runtime::EngineConfig config;
@@ -543,17 +513,20 @@ TEST(NetServer, StatsReplyKeysMatchStatsReference) {
   const std::string json = client.stats_json("lenet5-d");
   net.stop();
 
-  EXPECT_EQ(object_keys(json), documented_keys("top level")) << json;
-  const std::vector<std::string_view> classes = array_objects(json, "classes");
-  ASSERT_EQ(classes.size(), 2u) << json;
-  for (const std::string_view entry : classes) {
-    EXPECT_EQ(object_keys(entry), documented_keys("each `classes[]` entry")) << entry;
-  }
-  const std::vector<std::string_view> banks = array_objects(json, "banks");
-  ASSERT_EQ(banks.size(), 2u) << json;
-  for (const std::string_view entry : banks) {
-    EXPECT_EQ(object_keys(entry), documented_keys("each `banks[]` entry")) << entry;
-  }
+  // Every level carries exactly its struct's schema fields, in declaration
+  // order: the model (its fields at top level, between "model" and "net"),
+  // its engine, each classes[] and banks[] entry, and the front end.
+  const runtime::ModelServerStats stats = server.stats("lenet5-d");
+  ASSERT_EQ(stats.engine.classes.size(), 2u);
+  ASSERT_EQ(stats.engine.banks.size(), 2u);
+  const std::string model = schema_skeleton(stats);
+  EXPECT_EQ(json_skeleton(json), "{\"model\":" + model.substr(1, model.size() - 2) +
+                                     "\"net\":" + schema_skeleton(net.stats()) + "}")
+      << json;
+
+  // Values: the name is quoted, the precision prints by name, counters as-is.
+  EXPECT_NE(json.find("{\"model\":\"lenet5-d\",\"generation\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"cam_precision\":\"float32\""), std::string::npos) << json;
   util::set_global_threads(1);
 }
 

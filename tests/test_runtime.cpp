@@ -255,9 +255,8 @@ Tensor nth_sample_3d(const Tensor& batch, std::int64_t s) {
 TEST(EngineSlo, PercentilesRecoverAfterLoadSpike) {
   util::set_global_threads(1);
   Rng rng(211);
-  runtime::EngineConfig config;
-  config.latency_window = 8;  // tiny window: recovery visible after 8 requests
-  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng), config);
+  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng));
+  constexpr std::size_t kWindow = runtime::Engine::kLatencyWindow;
 
   Rng data_rng(223);
   const Tensor spike = random_batch(data_rng, 32);  // 32x the work per request
@@ -266,9 +265,9 @@ TEST(EngineSlo, PercentilesRecoverAfterLoadSpike) {
   const double p99_spike = engine.stats().p99_ms;
   EXPECT_GT(p99_spike, 0.0);
 
-  for (int i = 0; i < 8; ++i) engine.forward_batch(fast);
+  for (std::size_t i = 0; i < kWindow; ++i) engine.forward_batch(fast);
   const runtime::EngineStats after = engine.stats();
-  EXPECT_EQ(after.latency_samples, 16u);
+  EXPECT_EQ(after.latency_samples, 8u + kWindow);
   // The window has fully turned over: the spike is gone from the
   // percentiles, not averaged into lifetime history. 32x less work per
   // request leaves a wide margin.
