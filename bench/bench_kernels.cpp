@@ -21,6 +21,7 @@
 #include "cam/cam_conv2d.hpp"
 #include "cam/lut.hpp"
 #include "core/pecan_linear.hpp"
+#include "kernels/kernels.hpp"
 #include "nn/im2col.hpp"
 #include "nn/infer_context.hpp"
 #include "ops/energy_model.hpp"
@@ -397,8 +398,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows, bool smok
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"threads\": %d,\n  \"smoke\": %s,\n",
-               util::global_lanes(), smoke ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"bench\": \"kernels\",\n  \"isa\": \"%s\",\n  \"threads\": %d,\n"
+               "  \"smoke\": %s,\n",
+               kernels::isa_name(kernels::active().isa), util::global_lanes(),
+               smoke ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -48,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "models/lenet.hpp"
 #include "models/vgg_small.hpp"
 #include "runtime/engine.hpp"
@@ -81,7 +82,10 @@ void write_json(const std::string& path, int threads) {
     std::fprintf(stderr, "bench_runtime_throughput: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"runtime_throughput\",\n  \"threads\": %d,\n", threads);
+  std::fprintf(f,
+               "{\n  \"bench\": \"runtime_throughput\",\n  \"isa\": \"%s\",\n"
+               "  \"threads\": %d,\n",
+               kernels::isa_name(kernels::active().isa), threads);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < g_json_rows.size(); ++i) {
     const JsonRow& r = g_json_rows[i];

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "models/lenet.hpp"
 #include "models/resnet.hpp"
 #include "runtime/net_server.hpp"
@@ -162,6 +163,9 @@ int main(int argc, char** argv) {
   const std::int64_t fault_seed = args.get_int("fault-seed", 42);
   util::set_global_threads(threads);
   install_signal_handlers();
+  // The kernel variant serving every model (cpuid, or PECAN_ISA=...); STATS
+  // reports the same value as `cam_isa`.
+  std::printf("kernels: isa=%s\n", kernels::isa_name(kernels::active().isa));
   if (!fault_spec.empty()) {
     util::FaultInjector::instance().set_seed(static_cast<std::uint64_t>(fault_seed));
     util::FaultInjector::instance().arm_spec(fault_spec);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cam/op_counter.hpp"
+#include "kernels/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pecan::cam {
@@ -44,31 +45,21 @@ CamPrecision precision_from_name(const std::string& name);
 /// q(x) = clamp(round(x / scale) + zero_point, 0, 255). The zero point
 /// cancels in L1 distances; dot products correct for it with precomputed
 /// per-word code sums.
-struct AffineQuant {
-  float scale = 1.f;            ///< > 0 even for zero-range inputs
-  float inv_scale = 1.f;        ///< 1 / scale, precomputed: quantization is a hot loop
-  std::int32_t zero_point = 0;  ///< uint8 code of real zero
-};
+using kernels::AffineQuant;
 
 /// Min/max-derived params covering `values[0..n)`. A zero range (all-equal
 /// values, e.g. a pruned-to-one-word array) degenerates to scale=1 so the
 /// grid stays valid.
 AffineQuant affine_qparams(const float* values, std::int64_t n);
 
-/// Round-half-away-from-zero onto the uint8 grid. Multiply + truncate, no
-/// libm call: per-tile query quantization runs this d*lb times and must not
-/// cost more than the narrow-lane scan it enables.
-inline std::uint8_t affine_quantize(float v, const AffineQuant& q) {
-  const float r = v * q.inv_scale;
-  std::int32_t code = static_cast<std::int32_t>(r >= 0.f ? r + 0.5f : r - 0.5f) + q.zero_point;
-  code = code < 0 ? 0 : (code > 255 ? 255 : code);
-  return static_cast<std::uint8_t>(code);
-}
+/// Round-half-away-from-zero onto the uint8 grid (multiply + truncate, no
+/// libm call): the scalar spec of every variant's vectorized quantizer.
+using kernels::affine_quantize;
 
 /// Max columns per blocked search call. Sized so the per-tile scratch
 /// (distances, hits, packed queries) lives in L1 next to the word being
 /// scanned, and so the kernels can keep it on the stack.
-inline constexpr std::int64_t kCamTileMax = 64;
+inline constexpr std::int64_t kCamTileMax = kernels::kTileMax;
 
 class CamArray {
  public:
@@ -102,9 +93,13 @@ class CamArray {
   /// Int8/Binary resolve the same argmin/argmax over their quantized
   /// distances (deterministic, same lowest-index tie-break) and require
   /// prepare_quantized() first. lut.entries() must equal word_count().
+  /// `kt` is the ISA variant that runs the scan and the epilogue (tests pass
+  /// each kernels::table_for() variant; serving uses kernels::active()).
+  /// Every variant returns the same output, ledger and usage.
   void search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
                                float* out, std::int64_t out_stride, OpCounter& counter,
-                               CamPrecision precision = CamPrecision::Float32) const;
+                               CamPrecision precision = CamPrecision::Float32,
+                               const kernels::KernelTable& kt = kernels::active()) const;
 
   /// Weighted fused epilogue for PECAN-A: computes the tile's match-line
   /// scores (similarity_scores_block at Float32; dequantized int8 crossbar
@@ -118,7 +113,8 @@ class CamArray {
   void similarity_softmax_accumulate_block(const float* queries, std::int64_t lb,
                                            float temperature, const LutMemory& lut, float* scores,
                                            float* out, std::int64_t out_stride, OpCounter& counter,
-                                           CamPrecision precision = CamPrecision::Float32) const;
+                                           CamPrecision precision = CamPrecision::Float32,
+                                           const kernels::KernelTable& kt = kernels::active()) const;
 
   /// Builds the quantized plane(s) for `precision` from the current words:
   /// Int8 snapshots affine-quantized prototypes + per-word code sums, Binary
@@ -146,7 +142,8 @@ class CamArray {
   /// aggregate per call; each score bitwise-equal to similarity_scores. Does
   /// NOT record usage — the fused softmax epilogue records the argmax.
   void similarity_scores_block(const float* queries, std::int64_t lb, float* scores,
-                               OpCounter& counter) const;
+                               OpCounter& counter,
+                               const kernels::KernelTable& kt = kernels::active()) const;
 
   /// Usage histogram maintenance (Fig. 6). Atomic: the runtime engine
   /// searches one array from many lanes concurrently and the histogram
@@ -185,7 +182,13 @@ class CamArray {
 
  private:
   void search_block_core(const float* queries, std::int64_t lb, std::int32_t* hit32,
-                         OpCounter& counter, CamPrecision precision) const;
+                         OpCounter& counter, CamPrecision precision,
+                         const kernels::KernelTable& kt) const;
+  /// Plain view of the stored planes for the variant kernels.
+  kernels::CamView view() const;
+  /// This thread's quantization scratch, grown to what every variant's
+  /// `precision` scan needs for this array's shape.
+  kernels::CamScratch lane_scratch(CamPrecision precision) const;
   /// Aggregated histogram update for a tile of hits: one relaxed atomic per
   /// distinct word instead of one per hit.
   void record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const;

@@ -96,7 +96,9 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   const std::int64_t grain = std::max<std::int64_t>(1, (1 << 12) / tile_cost);
 
   // One tile of one sample: the unit of parallel work. All scratch is
-  // per-tile and lane-local, so lanes never touch the caller's arena. Both
+  // lane-local (thread_local, grown on demand and kept across calls, like
+  // CamArray's quantization scratch), so lanes never touch the caller's
+  // arena and steady-state calls allocate nothing. Both
   // modes run the fused search->accumulate epilogue: winners (or softmax
   // weights) flow straight into the LUT sweep without a hits round-trip,
   // bitwise-identical to the scalar column-at-a-time spec at Float32.
@@ -126,8 +128,13 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   util::parallel_for(
       0, n * ntiles,
       [&](std::int64_t w0, std::int64_t w1) {
-        std::vector<float> qtile(static_cast<std::size_t>(d_ * kCamTileMax));
-        std::vector<float> scores(static_cast<std::size_t>(scores_size));
+        thread_local std::vector<float> qtile, scores;
+        if (qtile.size() < static_cast<std::size_t>(d_ * kCamTileMax)) {
+          qtile.resize(static_cast<std::size_t>(d_ * kCamTileMax));
+        }
+        if (scores.size() < static_cast<std::size_t>(scores_size)) {
+          scores.resize(static_cast<std::size_t>(scores_size));
+        }
         for (std::int64_t w = w0; w < w1; ++w) {
           const std::int64_t s = w / ntiles;
           const std::int64_t l0 = (w % ntiles) * kCamTileMax;

@@ -1,6 +1,5 @@
 #include "cam/lut.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -38,24 +37,10 @@ void LutMemory::weighted_accumulate(const float* weights, float* out, std::int64
 
 void LutMemory::weighted_accumulate_block(const float* weights, std::int64_t lb, float* out,
                                           std::int64_t out_stride, OpCounter& counter,
-                                          OpCounter* port) const {
+                                          OpCounter* port, const kernels::KernelTable& kt) const {
   if (lb <= 0) return;
   if (lb > kCamTileMax) throw std::invalid_argument("LutMemory: tile larger than kCamTileMax");
-  // A [cout, lb] += [cout, p] x [p, lb] micro-product: the table row and the
-  // weight rows stream unit-stride, and the register/stack accumulator keeps
-  // the per-element m-order serial (bitwise contract).
-  float acc[kCamTileMax];
-  for (std::int64_t c = 0; c < cout_; ++c) {
-    const float* row = table_.data() + c * p_;
-    std::fill(acc, acc + lb, 0.f);
-    for (std::int64_t m = 0; m < p_; ++m) {
-      const float t = row[m];
-      const float* wrow = weights + m * lb;
-      for (std::int64_t l = 0; l < lb; ++l) acc[l] += wrow[l] * t;
-    }
-    float* o = out + c * out_stride;
-    for (std::int64_t l = 0; l < lb; ++l) o[l] += acc[l];
-  }
+  kt.lut_weighted_accumulate(table_.data(), cout_, p_, weights, lb, out, out_stride);
   const auto wacc = static_cast<std::uint64_t>(cout_ * p_ * lb);
   count_into(&OpCounter::adds, counter, port, wacc);
   count_into(&OpCounter::muls, counter, port, wacc);

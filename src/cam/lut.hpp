@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "cam/op_counter.hpp"
+#include "kernels/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pecan::cam {
@@ -38,11 +39,13 @@ class LutMemory {
   /// the softmax weight of prototype m for query l); adds table * weights
   /// into the [cout, lb] output tile. Per output element the m-summation
   /// order matches weighted_accumulate, so results are bitwise-equal to lb
-  /// scalar calls on the weight columns. The op counts also land in `port`
-  /// (the calling array's bank ledger) when non-null, via count_into.
+  /// scalar calls on the weight columns, in every ISA variant `kt`. The op
+  /// counts also land in `port` (the calling array's bank ledger) when
+  /// non-null, via count_into.
   void weighted_accumulate_block(const float* weights, std::int64_t lb, float* out,
                                  std::int64_t out_stride, OpCounter& counter,
-                                 OpCounter* port = nullptr) const;
+                                 OpCounter* port = nullptr,
+                                 const kernels::KernelTable& kt = kernels::active()) const;
 
   /// Keeps only the listed columns (paired with CamArray::prune_unused).
   void keep_entries(const std::vector<std::int64_t>& kept);

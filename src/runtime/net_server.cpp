@@ -47,11 +47,14 @@ void append_fields(std::string& out, const S& s, char sep = ',') {
 }
 
 /// Integers print as they are, reals with three decimals, the CAM precision
-/// by name; a vector becomes an array and a stats struct an object.
+/// and the kernel ISA by name; a vector becomes an array and a stats struct
+/// an object.
 template <typename V>
 void append_json(std::string& out, const V& v) {
   if constexpr (std::is_same_v<V, cam::CamPrecision>) {
     out += '"' + std::string(cam::precision_name(v)) + '"';
+  } else if constexpr (std::is_same_v<V, kernels::Isa>) {
+    out += '"' + std::string(kernels::isa_name(v)) + '"';
   } else if constexpr (std::is_floating_point_v<V>) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", v);

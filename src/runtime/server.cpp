@@ -76,6 +76,7 @@ ModelServerStats Server::stats(const std::string& name) const {
   ModelServerStats out;
   out.generation = lease.generation;
   out.cam_precision = lease.engine->cam_precision();
+  out.cam_isa = kernels::active().isa;
   out.engine = lease.engine->stats();
   const Counters& c = counters(name);
   out.deploys = c.deploys.load(std::memory_order_relaxed);

@@ -64,6 +64,9 @@ namespace pecan::runtime {
     "CAM operating point of the CURRENT generation. A hot-swap that changes precision flips "     \
     "this atomically with the generation; leased engines of the old generation keep serving "     \
     "at their own precision until the last lease drops.")                                         \
+  X(kernels::Isa, cam_isa, kernels::Isa::Baseline, "enum",                                        \
+    "ISA variant of the CAM/LUT/sgemm kernels serving this process (kernels::active(): cpuid, "   \
+    "or the PECAN_ISA override). One per process, the same for every model.")                     \
   X(EngineStats, engine, {}, "struct", "live engine snapshot (current generation)")
 
 /// Per-model view returned by Server::stats(): the live engine snapshot plus

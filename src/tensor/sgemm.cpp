@@ -1,7 +1,6 @@
 #include "tensor/sgemm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -10,140 +9,24 @@
 namespace pecan {
 
 namespace {
-// Register-blocking geometry: each micro-kernel call produces an MrxNr C
-// tile from a packed A panel and Nr consecutive B columns, sized to the
-// vector register file the compiler is targeting:
-//   * 256-bit+ SIMD (AVX / 64-bit ARM): 6x16 — 12 accumulator registers at
-//     8-wide plus an A broadcast and two B loads.
-//   * baseline x86-64 / 128-bit SIMD: 4x8 — 8 accumulator xmm registers; a
-//     6x16 tile (96 floats) would spill to the stack every k step.
-// The tile shape never changes results: each C element is one serial
-// ascending-k accumulation chain regardless of Mr/Nr.
-//
-// The full-tile kernel is written with GCC/Clang vector extensions rather
-// than auto-vectorized loops: with the loops fully unrolled (constant trip
-// counts) gcc's SLP pass was observed to produce shuffle-heavy xmm code at
-// a fraction of the attainable rate. Explicit lane types pin the shape:
-// per m-row, kNv vector accumulators that see one fma per k step. Vector
-// lanes are independent adds/muls, so each C element still accumulates in
-// serial ascending-k order — bitwise-equal to the scalar tail kernel and
-// to sgemm_reference.
-#if defined(__AVX__) || (defined(__ARM_NEON) && defined(__aarch64__))
-constexpr std::int64_t kMr = 6;
-constexpr std::int64_t kNr = 16;
-constexpr std::int64_t kVl = 8;  ///< vector lanes (two 128-bit ops on NEON)
-#else
-constexpr std::int64_t kMr = 4;
-constexpr std::int64_t kNr = 8;
-constexpr std::int64_t kVl = 4;
-#endif
-constexpr std::int64_t kNv = kNr / kVl;  ///< vectors per micro-tile row
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PECAN_SGEMM_VECTOR_KERNEL 1
-typedef float Vf __attribute__((vector_size(kVl * sizeof(float)), aligned(4)));
-
-inline Vf splat(float x) {
-  Vf v;
-  for (std::int64_t i = 0; i < kVl; ++i) v[i] = x;
-  return v;
-}
-#endif
-
-// Micro-kernel: C[0..kMr, 0..kNr) += sum_k a_panel[k,:] x b[k, 0..kNr).
-// a_panel is k-major ([k][kMr], alpha already folded in); b is row-major
-// with leading dimension ldb, so the lane loads are unit-stride. The k loop
-// runs over the FULL depth with the C tile held in registers: each output
-// element sees one serial ascending-k accumulation chain and a single
-// read-modify-write of C — the bitwise contract (and most of the speedup:
-// the old scalar kernel streamed the whole C row through memory once per k).
-inline void micro_full(std::int64_t k, const float* a_panel, const float* b, std::int64_t ldb,
-                       float* c, std::int64_t ldc) {
-#ifdef PECAN_SGEMM_VECTOR_KERNEL
-  Vf acc[kMr][kNv] = {};
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
-    Vf bv[kNv];
-    std::memcpy(&bv, brow, sizeof(bv));  // unaligned vector loads
-    const float* arow = a_panel + kk * kMr;
-    for (std::int64_t ii = 0; ii < kMr; ++ii) {
-      const Vf av = splat(arow[ii]);
-      for (std::int64_t v = 0; v < kNv; ++v) acc[ii][v] += av * bv[v];
-    }
-  }
-  for (std::int64_t ii = 0; ii < kMr; ++ii) {
-    float* crow = c + ii * ldc;
-    Vf cv[kNv];
-    std::memcpy(&cv, crow, sizeof(cv));
-    for (std::int64_t v = 0; v < kNv; ++v) cv[v] += acc[ii][v];
-    std::memcpy(crow, &cv, sizeof(cv));
-  }
-#else
-  float acc[kMr][kNr] = {};
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
-    const float* arow = a_panel + kk * kMr;
-    for (std::int64_t ii = 0; ii < kMr; ++ii) {
-      const float aik = arow[ii];
-      for (std::int64_t jj = 0; jj < kNr; ++jj) acc[ii][jj] += aik * brow[jj];
-    }
-  }
-  for (std::int64_t ii = 0; ii < kMr; ++ii) {
-    float* crow = c + ii * ldc;
-    for (std::int64_t jj = 0; jj < kNr; ++jj) crow[jj] += acc[ii][jj];
-  }
-#endif
-}
-
-// Edge-tile variant for mr < kMr and/or nr < kNr (odd tails). Identical
-// per-element accumulation order.
-inline void micro_tail(std::int64_t mr, std::int64_t nr, std::int64_t k, const float* a_panel,
-                       const float* b, std::int64_t ldb, float* c, std::int64_t ldc) {
-  float acc[kMr][kNr] = {};
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
-    const float* arow = a_panel + kk * kMr;
-    for (std::int64_t ii = 0; ii < mr; ++ii) {
-      const float aik = arow[ii];
-      for (std::int64_t jj = 0; jj < nr; ++jj) acc[ii][jj] += aik * brow[jj];
-    }
-  }
-  for (std::int64_t ii = 0; ii < mr; ++ii) {
-    float* crow = c + ii * ldc;
-    for (std::int64_t jj = 0; jj < nr; ++jj) crow[jj] += acc[ii][jj];
-  }
-}
 
 // Blocked kernel on row-major operands: C += alpha * A * B. Parallel over
-// row blocks; each lane packs its own kMr-row A panels (alpha folded in,
-// k-major so the micro-kernel reads it unit-stride) into thread_local
-// scratch that persists across calls — steady state allocates nothing.
+// row blocks; each lane packs its own A panels into thread_local scratch
+// that persists across calls — steady state allocates nothing — and the
+// variant's gemm_rows runs the register-blocked micro-kernels.
 void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha, const float* a,
-             std::int64_t lda, const float* b, std::int64_t ldb, float* c, std::int64_t ldc) {
+             std::int64_t lda, const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
+             const kernels::KernelTable& kt) {
   const std::int64_t row_cost = std::max<std::int64_t>(n * k, 1);
   const std::int64_t grain = std::max<std::int64_t>(1, (1 << 16) / row_cost);
   util::parallel_for(
       0, m,
       [&](std::int64_t i0, std::int64_t i1) {
         thread_local std::vector<float> a_panel;
-        if (a_panel.size() < static_cast<std::size_t>(k * kMr)) {
-          a_panel.resize(static_cast<std::size_t>(k * kMr));
+        if (a_panel.size() < static_cast<std::size_t>(k * kt.gemm_mr)) {
+          a_panel.resize(static_cast<std::size_t>(k * kt.gemm_mr));
         }
-        for (std::int64_t i = i0; i < i1; i += kMr) {
-          const std::int64_t mr = std::min<std::int64_t>(kMr, i1 - i);
-          for (std::int64_t ii = 0; ii < mr; ++ii) {
-            const float* arow = a + (i + ii) * lda;
-            for (std::int64_t kk = 0; kk < k; ++kk) a_panel[static_cast<std::size_t>(kk * kMr + ii)] = alpha * arow[kk];
-          }
-          for (std::int64_t j = 0; j < n; j += kNr) {
-            const std::int64_t nr = std::min<std::int64_t>(kNr, n - j);
-            if (mr == kMr && nr == kNr) {
-              micro_full(k, a_panel.data(), b + j, ldb, c + i * ldc + j, ldc);
-            } else {
-              micro_tail(mr, nr, k, a_panel.data(), b + j, ldb, c + i * ldc + j, ldc);
-            }
-          }
-        }
+        kt.gemm_rows(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc, a_panel.data());
       },
       grain);
 }
@@ -163,7 +46,7 @@ void scale_by_beta(std::int64_t m, std::int64_t n, float beta, float* c, std::in
 
 void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
            float alpha, const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
-           float beta, float* c, std::int64_t ldc) {
+           float beta, float* c, std::int64_t ldc, const kernels::KernelTable& kt) {
   if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm: negative dimension");
 
   // Scale C by beta first so the accumulating kernel can just add.
@@ -202,7 +85,7 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int6
     b_eff = b_packed.data();
     ldb_eff = n;
   }
-  gemm_nn(m, n, k, alpha, a_eff, lda_eff, b_eff, ldb_eff, c, ldc);
+  gemm_nn(m, n, k, alpha, a_eff, lda_eff, b_eff, ldb_eff, c, ldc, kt);
 }
 
 void sgemm_reference(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,

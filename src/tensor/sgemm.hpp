@@ -2,9 +2,10 @@
 // Linear, and the PECAN-A attention scores.
 //
 // Row-major. C[M,N] = alpha * op(A)[M,K] * op(B)[K,N] + beta * C[M,N].
-// Register-blocked micro-kernel (6x16 tile with 256-bit SIMD, 4x8 on
-// baseline ISAs) with thread_local panel packing, parallel over row blocks
-// of C.
+// Register-blocked micro-kernel whose tile follows the ISA variant that
+// runs it (12x16 on AVX-512, 6x16 on AVX2 and aarch64, 4x8 on baseline
+// x86-64; see kernels/kernels_impl.hpp) with thread_local panel packing,
+// parallel over row blocks of C.
 //
 // Determinism contract: every C element is produced by exactly one lane as
 //   beta-scaled C  +  (sum over k, ascending, of (alpha*a)*b accumulated in
@@ -15,11 +16,16 @@
 
 #include <cstdint>
 
+#include "kernels/kernels.hpp"
+
 namespace pecan {
 
+/// `kt` is the ISA variant that runs the micro-kernels; every variant gives
+/// the same bits.
 void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
            float alpha, const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
-           float beta, float* c, std::int64_t ldc);
+           float beta, float* c, std::int64_t ldc,
+           const kernels::KernelTable& kt = kernels::active());
 
 /// Serial naive triple loop implementing the exact accumulation semantics
 /// the blocked kernel must reproduce bitwise (the spec, and the "before"

@@ -6,15 +6,14 @@
 // perturbing the paper's numbers.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "cam/cam_array.hpp"
 #include "cam/cam_conv2d.hpp"
 #include "cam/lut.hpp"
+#include "cam_reference.hpp"
 #include "index_lut.hpp"
 #include "nn/im2col.hpp"
 #include "nn/infer_context.hpp"
@@ -31,6 +30,9 @@ using cam::LutMemory;
 using cam::OpCounter;
 using cam::SearchMetric;
 using camtest::index_lut;
+using camtest::quantized_reference_hits;
+using camtest::softmax_column_replica;
+using camtest::usage_of;
 using camtest::tile_hits;
 
 struct CounterSnapshot {
@@ -246,7 +248,7 @@ TEST(LutBlock, WeightedBlockMatchesScalar) {
 }
 
 TEST(SgemmBlocked, BitwiseMatchesReferenceAcrossTails) {
-  // Odd sizes around the 6x16 register tile, all transpose combinations,
+  // Odd sizes around the register tiles, all transpose combinations,
   // non-trivial alpha/beta.
   struct Combo {
     bool ta, tb;
@@ -409,76 +411,7 @@ TEST(CamConv2dTiled, LargeGeometryBatchedMatchesPerSampleInfer) {
 
 // ------------------------------------------------- quantized search planes
 
-using cam::affine_quantize;
-using cam::AffineQuant;
 using cam::CamPrecision;
-
-// Independent scalar reference for the quantized planes, written against the
-// documented code grids (affine uint8 codes / sign bits), not the kernels'
-// packed layouts. Hits resolve with the same lowest-index tie-break.
-std::vector<std::int64_t> quantized_reference_hits(const CamArray& array, const Tensor& cols,
-                                                   CamPrecision precision) {
-  const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
-  const float* words = array.words().data();
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  for (std::int64_t l = 0; l < len; ++l) {
-    std::int64_t best_m = 0;
-    if (precision == CamPrecision::Binary) {
-      const std::vector<float>& thresh = array.binary_thresholds();
-      std::int64_t best = std::numeric_limits<std::int64_t>::max();
-      for (std::int64_t m = 0; m < p; ++m) {
-        std::int64_t ham = 0;
-        for (std::int64_t i = 0; i < d; ++i) {
-          const bool qs = cols[i * len + l] >= thresh[static_cast<std::size_t>(i)];
-          const bool ws = words[m * d + i] >= thresh[static_cast<std::size_t>(i)];
-          ham += qs != ws;
-        }
-        if (ham < best) {
-          best = ham;
-          best_m = m;
-        }
-      }
-    } else {
-      const AffineQuant& qp = array.qparams();
-      std::vector<std::int32_t> q(static_cast<std::size_t>(d));
-      for (std::int64_t i = 0; i < d; ++i) {
-        q[static_cast<std::size_t>(i)] = affine_quantize(cols[i * len + l], qp);
-      }
-      if (array.metric() == SearchMetric::L1BestMatch) {
-        std::int64_t best = std::numeric_limits<std::int64_t>::max();
-        for (std::int64_t m = 0; m < p; ++m) {
-          std::int64_t dist = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const std::int32_t w = affine_quantize(words[m * d + i], qp);
-            dist += std::abs(q[static_cast<std::size_t>(i)] - w);
-          }
-          if (dist < best) {
-            best = dist;
-            best_m = m;
-          }
-        }
-      } else {
-        // Argmax of the zero-point-corrected crossbar read dot - zp*sum(w).
-        std::int64_t best = std::numeric_limits<std::int64_t>::min();
-        for (std::int64_t m = 0; m < p; ++m) {
-          std::int64_t dot = 0, wsum = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const std::int32_t w = affine_quantize(words[m * d + i], qp);
-            dot += static_cast<std::int64_t>(q[static_cast<std::size_t>(i)]) * w;
-            wsum += w;
-          }
-          const std::int64_t score = dot - qp.zero_point * wsum;
-          if (score > best) {
-            best = score;
-            best_m = m;
-          }
-        }
-      }
-    }
-    hits[static_cast<std::size_t>(l)] = best_m;
-  }
-  return hits;
-}
 
 // Drives the production kernel over the tile grid the conv kernels use and
 // reads its winners through an index LUT.
@@ -493,12 +426,6 @@ std::vector<std::int64_t> blocked_hits(const CamArray& array, const Tensor& cols
     tile_hits(array, qtile.data(), lb, hits.data() + l0, counter, precision);
   }
   return hits;
-}
-
-std::vector<std::uint64_t> usage_of(const std::vector<std::int64_t>& hits, std::int64_t p) {
-  std::vector<std::uint64_t> usage(static_cast<std::size_t>(p), 0);
-  for (const std::int64_t h : hits) ++usage[static_cast<std::size_t>(h)];
-  return usage;
 }
 
 // Odd dims exercise the dot path's pair padding; d=16/17 cross the int8 L1
@@ -701,31 +628,6 @@ TEST(FusedEpilogue, RejectsMismatchedLut) {
                std::invalid_argument);
 }
 
-// Softmax replica with the exact op order of the fused kernel (float exp,
-// double denominator, one float normalize multiply); returns the
-// pre-softmax argmax recorded in the usage histogram.
-std::int64_t softmax_column_replica(float* scores, std::int64_t p, std::int64_t lb, std::int64_t l,
-                                    float temperature) {
-  float mx = scores[l];
-  std::int64_t best = 0;
-  for (std::int64_t m = 1; m < p; ++m) {
-    const float v = scores[m * lb + l];
-    if (v > mx) {
-      mx = v;
-      best = m;
-    }
-  }
-  double denom = 0;
-  for (std::int64_t m = 0; m < p; ++m) {
-    float& v = scores[m * lb + l];
-    v = std::exp((v - mx) / temperature);
-    denom += v;
-  }
-  const float inv = static_cast<float>(1.0 / denom);
-  for (std::int64_t m = 0; m < p; ++m) scores[m * lb + l] *= inv;
-  return best;
-}
-
 TEST(FusedWeighted, Float32BitwiseMatchesUnfusedSequence) {
   constexpr std::int64_t kP = 8, kD = 9, kCout = 13;
   constexpr float kTemp = 0.75f;
@@ -785,37 +687,14 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
       std::vector<float> scores(static_cast<std::size_t>(kP * kCamTileMax));
       std::vector<std::uint64_t> expected_usage(static_cast<std::size_t>(kP), 0);
 
-      // Exact-integer dequantized score reference:
-      //   s^2 * (dot - zp*wsum[m] - zp*qsum[l] + d*zp^2)
-      // followed by the replica softmax and the blocked weighted accumulate.
-      const AffineQuant& qp = array.qparams();
-      const float s2 = qp.scale * qp.scale;
-      const std::int64_t zp = qp.zero_point;
+      // Exact-integer dequantized scores, then the replica softmax and the
+      // blocked weighted accumulate.
       OpCounter ref_counter;
       Tensor expected({kCout, len},
                       std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
       for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
         const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-        for (std::int64_t l = 0; l < lb; ++l) {
-          std::vector<std::int64_t> q(static_cast<std::size_t>(d));
-          std::int64_t qsum = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            q[static_cast<std::size_t>(i)] = affine_quantize(cols[i * len + l0 + l], qp);
-            qsum += q[static_cast<std::size_t>(i)];
-          }
-          for (std::int64_t m = 0; m < kP; ++m) {
-            std::int64_t dot = 0, wsum = 0;
-            for (std::int64_t i = 0; i < d; ++i) {
-              const std::int64_t w =
-                  affine_quantize(array.words()[m * d + i], qp);
-              dot += q[static_cast<std::size_t>(i)] * w;
-              wsum += w;
-            }
-            const std::int64_t integer = dot - zp * wsum - zp * qsum + d * zp * zp;
-            scores[static_cast<std::size_t>(m * lb + l)] =
-                s2 * static_cast<float>(static_cast<std::int32_t>(integer));
-          }
-        }
+        camtest::int8_reference_scores(array, cols.data() + l0, len, lb, scores.data());
         for (std::int64_t l = 0; l < lb; ++l) {
           ++expected_usage[static_cast<std::size_t>(
               softmax_column_replica(scores.data(), kP, lb, l, kTemp))];
