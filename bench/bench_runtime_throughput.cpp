@@ -54,7 +54,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/server.hpp"
 #include "tensor/rng.hpp"
-#include "util/bounded_queue.hpp"
+#include "util/priority_bucket_queue.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"

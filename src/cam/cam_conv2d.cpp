@@ -50,12 +50,11 @@ CamConv2d::CamConv2d(const pq::PecanConv2d& trained, std::shared_ptr<OpCounter> 
 }
 
 Tensor CamConv2d::forward(const Tensor& input) {
-  // CAM layers are inference-only (backward() throws), so the stateful path
-  // is just the stateless one plus the shape capture for inference_ops().
-  nn::InferContext ctx;
-  Tensor out = infer(input, ctx);
-  input_shape_ = input.shape();
-  return out;
+  // CAM layers are inference-only (backward() throws): forward() is infer()
+  // plus the shape capture for inference_ops(), in either mode.
+  Tensor output = eval_forward(input);
+  probe_shape_ = input.shape();
+  return output;
 }
 
 Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
@@ -152,8 +151,8 @@ Tensor CamConv2d::backward(const Tensor&) {
 }
 
 ops::OpCount CamConv2d::inference_ops() const {
-  if (input_shape_.empty()) return {};
-  const nn::Conv2dGeometry g{cin_, input_shape_[2], input_shape_[3], k_, stride_, pad_};
+  if (probe_shape_.empty()) return {};
+  const nn::Conv2dGeometry g{cin_, probe_shape_[2], probe_shape_[3], k_, stride_, pad_};
   const ops::ConvDims dims{cin_, cout_, k_, g.hout(), g.wout()};
   const ops::PqDims q{p_, groups(), d_};
   return mode_ == pq::MatchMode::Angle ? ops::conv_pecan_a(dims, q) : ops::conv_pecan_d(dims, q);
@@ -207,21 +206,13 @@ CamLinear::CamLinear(const pq::PecanConv2d& trained_fc_conv, std::shared_ptr<OpC
 }
 
 Tensor CamLinear::forward(const Tensor& input) {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name() + ": expected [N," + std::to_string(in_) + "]");
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out = conv_.forward(input.reshaped({n, in_, 1, 1}));
-  return std::move(out).reshaped({n, out_});
+  return nn::as_1x1_conv(name(), input, in_, out_,
+                         [&](const Tensor& x) { return conv_.forward(x); });
 }
 
 Tensor CamLinear::infer(const Tensor& input, nn::InferContext& ctx) const {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name() + ": expected [N," + std::to_string(in_) + "]");
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out = conv_.infer(input.reshaped({n, in_, 1, 1}), ctx);
-  return std::move(out).reshaped({n, out_});
+  return nn::as_1x1_conv(name(), input, in_, out_,
+                         [&](const Tensor& x) { return conv_.infer(x, ctx); });
 }
 
 Tensor CamLinear::backward(const Tensor&) {

@@ -80,7 +80,7 @@ class CamConv2d : public nn::Module {
   std::vector<CamArray> arrays_;
   std::vector<LutMemory> luts_;
   std::shared_ptr<OpCounter> counter_;
-  Shape input_shape_;
+  Shape probe_shape_;  ///< input shape of the last forward(), for inference_ops()
 };
 
 /// FC flavor: reshapes [N, F] <-> [N, F, 1, 1] around a CamConv2d.

@@ -132,123 +132,77 @@ void PecanConv2d::match_group(std::int64_t j, const float* cols, std::int64_t le
   }
 }
 
+void PecanConv2d::lookup_group(std::int64_t j, const float* k_buf, const std::int64_t* hard_buf,
+                               std::int64_t len, float* xq_group) const {
+  if (config_.mode == MatchMode::Angle) {
+    // Xq(j) = C(j) K = storage^T [d, p] * K [p, L].
+    sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f, xq_group,
+          len);
+  } else {
+    // Hard one-hot lookup (Eq. 5 forward): Xq(j)_l = prototype[k_l].
+    for (std::int64_t l = 0; l < len; ++l) {
+      const float* proto = codebook_.prototype(j, hard_buf[l]);
+      for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
+    }
+  }
+}
+
 Tensor PecanConv2d::forward(const Tensor& input) {
+  nn::InferContext ctx;
+  Tensor output = training_ ? run(input, ctx, &cached_k_, &cached_hard_) : infer(input, ctx);
+  probe_shape_ = input.shape();
+  if (training_) cached_input_ = input;
+  return output;
+}
+
+Tensor PecanConv2d::infer(const Tensor& input, nn::InferContext& ctx) const {
+  return run(input, ctx, nullptr, nullptr);
+}
+
+Tensor PecanConv2d::run(const Tensor& input, nn::InferContext& ctx, Tensor* k_cache,
+                        std::vector<std::int64_t>* hard_cache) const {
   if (input.ndim() != 4 || input.dim(1) != cin_) {
     throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W], got " +
                                 shape_str(input.shape()));
   }
   const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
   const nn::Conv2dGeometry g = geometry(hin, win);
+  g.validate();  // a bad input throws before any training cache is touched
   const std::int64_t rows = g.rows(), len = g.cols();
 
-  input_shape_ = input.shape();
-  const bool cache = training_;
+  Tensor output({n, cout_, g.hout(), g.wout()});
+  // All scratch is claimed before the parallel group loop: lanes only ever
+  // write their group's disjoint slices. Serving reuses one sample's K and
+  // hard indices from the arena; training keeps every sample's in the
+  // caches.
+  float* cols = ctx.arena.floats(rows * len);
+  float* xq = ctx.arena.floats(rows * len);
+  const bool cache = k_cache != nullptr;
   if (cache) {
-    cached_input_ = input;
     // Reuse the (large) matching-weight cache across steps: match_group
     // overwrites every element, so only reallocate on a shape change.
     const Shape k_shape{n, D_, p_, len};
-    if (cached_k_.shape() != k_shape) cached_k_ = Tensor(k_shape);
-    cached_hard_.resize(static_cast<std::size_t>(n * D_ * len));
-    cached_n_ = n;
+    if (k_cache->shape() != k_shape) *k_cache = Tensor(k_shape);
+    hard_cache->resize(static_cast<std::size_t>(n * D_ * len));
   }
-
-  Tensor output({n, cout_, g.hout(), g.wout()});
-  Tensor cols({rows, len});
-  Tensor xq({rows, len});
+  float* k_all = cache ? k_cache->data() : ctx.arena.floats(D_ * p_ * len);
+  std::int64_t* hard_all = cache ? hard_cache->data() : ctx.arena.ints(D_ * len);
 
   // Groups are fully independent, so the group loop is the parallel axis
   // (nested parallel_for calls in match_group degrade to inline); layers
   // with few groups fall back to the inner-loop parallelism instead.
   const std::int64_t group_grain = D_ >= 8 ? 1 : D_;
   for (std::int64_t s = 0; s < n; ++s) {
-    nn::im2col(input.data() + s * cin_ * hin * win, g, cols.data());
-    util::parallel_for(
-        0, D_,
-        [&](std::int64_t j0, std::int64_t j1) {
-          for (std::int64_t j = j0; j < j1; ++j) {
-            std::vector<float> k_local;
-            std::vector<std::int64_t> hard_local;
-            float* k_buf;
-            std::int64_t* hard_buf;
-            if (cache) {
-              k_buf = cached_k_.data() + ((s * D_ + j) * p_) * len;
-              hard_buf = cached_hard_.data() + (s * D_ + j) * len;
-            } else {
-              k_local.resize(static_cast<std::size_t>(p_ * len));
-              hard_local.resize(static_cast<std::size_t>(len));
-              k_buf = k_local.data();
-              hard_buf = hard_local.data();
-            }
-            match_group(j, cols.data() + j * d_ * len, len, k_buf, hard_buf,
-                        /*training_path=*/cache);
-
-            float* xq_group = xq.data() + j * d_ * len;
-            if (config_.mode == MatchMode::Angle) {
-              // Xq(j) = C(j) K = storage^T [d, p] * K [p, L].
-              sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f,
-                    xq_group, len);
-            } else {
-              // Hard one-hot lookup (Eq. 5 forward): Xq(j)_l = prototype[k_l].
-              for (std::int64_t l = 0; l < len; ++l) {
-                const float* proto = codebook_.prototype(j, hard_buf[l]);
-                for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-              }
-            }
-          }
-        },
-        group_grain);
-    matmul(weight_.value.data(), xq.data(), output.data() + s * cout_ * len, cout_, len, rows);
-  }
-  if (has_bias_) {
-    for (std::int64_t s = 0; s < n; ++s) {
-      for (std::int64_t c = 0; c < cout_; ++c) {
-        float* out = output.data() + (s * cout_ + c) * len;
-        for (std::int64_t l = 0; l < len; ++l) out[l] += bias_.value[c];
-      }
-    }
-  }
-  return output;
-}
-
-Tensor PecanConv2d::infer(const Tensor& input, nn::InferContext& ctx) const {
-  if (input.ndim() != 4 || input.dim(1) != cin_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W], got " +
-                                shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const nn::Conv2dGeometry g = geometry(hin, win);
-  const std::int64_t rows = g.rows(), len = g.cols();
-
-  Tensor output({n, cout_, g.hout(), g.wout()});
-  // All scratch is arena-backed and claimed before the parallel group loop:
-  // lanes only ever write their group's disjoint slices.
-  float* cols = ctx.arena.floats(rows * len);
-  float* xq = ctx.arena.floats(rows * len);
-  float* k_all = ctx.arena.floats(D_ * p_ * len);
-  std::int64_t* hard_all = ctx.arena.ints(D_ * len);
-
-  const std::int64_t group_grain = D_ >= 8 ? 1 : D_;
-  for (std::int64_t s = 0; s < n; ++s) {
+    const std::int64_t sample = cache ? s : 0;
     nn::im2col(input.data() + s * cin_ * hin * win, g, cols);
     util::parallel_for(
         0, D_,
         [&](std::int64_t j0, std::int64_t j1) {
           for (std::int64_t j = j0; j < j1; ++j) {
-            float* k_buf = k_all + j * p_ * len;
-            std::int64_t* hard_buf = hard_all + j * len;
-            match_group(j, cols + j * d_ * len, len, k_buf, hard_buf, /*training_path=*/false);
-
-            float* xq_group = xq + j * d_ * len;
-            if (config_.mode == MatchMode::Angle) {
-              sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f,
-                    xq_group, len);
-            } else {
-              for (std::int64_t l = 0; l < len; ++l) {
-                const float* proto = codebook_.prototype(j, hard_buf[l]);
-                for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-              }
-            }
+            float* k_buf = k_all + ((sample * D_ + j) * p_) * len;
+            std::int64_t* hard_buf = hard_all + (sample * D_ + j) * len;
+            match_group(j, cols + j * d_ * len, len, k_buf, hard_buf, /*training_path=*/cache);
+            lookup_group(j, k_buf, hard_buf, len, xq + j * d_ * len);
           }
         },
         group_grain);
@@ -266,15 +220,15 @@ Tensor PecanConv2d::infer(const Tensor& input, nn::InferContext& ctx) const {
 }
 
 Tensor PecanConv2d::backward(const Tensor& grad_output) {
-  if (cached_n_ == 0) throw std::logic_error(name_ + ": backward before forward");
-  const std::int64_t n = cached_n_;
-  const std::int64_t hin = input_shape_[2], win = input_shape_[3];
+  if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  const Shape& input_shape = cached_input_.shape();
+  const std::int64_t n = input_shape[0], hin = input_shape[2], win = input_shape[3];
   const nn::Conv2dGeometry g = geometry(hin, win);
   const std::int64_t rows = g.rows(), len = g.cols();
   const float tau = config_.temperature;
   const float a = static_cast<float>(std::exp(4.0 * epoch_progress_));  // Eq. (6)
 
-  Tensor grad_input(input_shape_);
+  Tensor grad_input(input_shape);
   Tensor cols({rows, len});
   Tensor xq({rows, len});
   Tensor dxq({rows, len});
@@ -289,18 +243,8 @@ Tensor PecanConv2d::backward(const Tensor& grad_output) {
         0, D_,
         [&](std::int64_t j0, std::int64_t j1) {
           for (std::int64_t j = j0; j < j1; ++j) {
-            const float* k_buf = cached_k_.data() + ((s * D_ + j) * p_) * len;
-            const std::int64_t* hard_buf = cached_hard_.data() + (s * D_ + j) * len;
-            float* xq_group = xq.data() + j * d_ * len;
-            if (config_.mode == MatchMode::Angle) {
-              sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f,
-                    xq_group, len);
-            } else {
-              for (std::int64_t l = 0; l < len; ++l) {
-                const float* proto = codebook_.prototype(j, hard_buf[l]);
-                for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-              }
-            }
+            lookup_group(j, cached_k_.data() + ((s * D_ + j) * p_) * len,
+                         cached_hard_.data() + (s * D_ + j) * len, len, xq.data() + j * d_ * len);
           }
         },
         group_grain);
@@ -332,46 +276,36 @@ Tensor PecanConv2d::backward(const Tensor& grad_output) {
       float* dxj = dcols.data() + j * d_ * len;
       float* cgrad = codebook_.grad(j, 0);
 
+      // Term 1. Angle: Xq = C^T K  =>  dC[p,d] += K dXq^T. Distance uses
+      // the FORWARD (hard) assignment: dC[k_l] += dXq_l.
       if (config_.mode == MatchMode::Angle) {
-        // Term 1: Xq = C^T K  =>  dC[p,d] += K dXq^T, dK = C dXq.
         sgemm(false, true, p_, d_, len, 1.f, k_buf, len, dxq_group, len, 1.f, cgrad, d_);
-        sgemm(false, false, p_, len, d_, 1.f, codebook_.prototype(j, 0), d_, dxq_group, len, 0.f,
-              dk.data(), len);
-        // Softmax backward: dS = K o (dK - <K, dK>) / tau.
+      } else {
         for (std::int64_t l = 0; l < len; ++l) {
-          double inner = 0;
-          for (std::int64_t m = 0; m < p_; ++m) {
-            inner += static_cast<double>(k_buf[m * len + l]) * dk[m * len + l];
-          }
-          for (std::int64_t m = 0; m < p_; ++m) {
-            ddist[m * len + l] =
-                k_buf[m * len + l] * (dk[m * len + l] - static_cast<float>(inner)) / tau;
-          }
+          float* crow = codebook_.grad(j, hard_buf[l]);
+          for (std::int64_t i = 0; i < d_; ++i) crow[i] += dxq_group[i * len + l];
         }
+      }
+      // dK = C dXq (for Distance through the soft path, STE, Eq. 5), then
+      // the softmax (Eq. 2 / Eq. 4) backward: dS = K o (dK - <K, dK>) / tau.
+      sgemm(false, false, p_, len, d_, 1.f, codebook_.prototype(j, 0), d_, dxq_group, len, 0.f,
+            dk.data(), len);
+      for (std::int64_t l = 0; l < len; ++l) {
+        double inner = 0;
+        for (std::int64_t m = 0; m < p_; ++m) {
+          inner += static_cast<double>(k_buf[m * len + l]) * dk[m * len + l];
+        }
+        for (std::int64_t m = 0; m < p_; ++m) {
+          ddist[m * len + l] =
+              k_buf[m * len + l] * (dk[m * len + l] - static_cast<float>(inner)) / tau;
+        }
+      }
+      if (config_.mode == MatchMode::Angle) {
         // S = C X  =>  dC += dS X^T, dX = C^T dS.
         sgemm(false, true, p_, d_, len, 1.f, ddist.data(), len, xj, len, 1.f, cgrad, d_);
         sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, ddist.data(), len, 0.f,
               dxj, len);
       } else {
-        // Term 1 uses the FORWARD (hard) assignment: dC[k_l] += dXq_l;
-        // dK flows through the soft path (STE, Eq. 5): dK = C dXq.
-        for (std::int64_t l = 0; l < len; ++l) {
-          float* crow = codebook_.grad(j, hard_buf[l]);
-          for (std::int64_t i = 0; i < d_; ++i) crow[i] += dxq_group[i * len + l];
-        }
-        sgemm(false, false, p_, len, d_, 1.f, codebook_.prototype(j, 0), d_, dxq_group, len, 0.f,
-              dk.data(), len);
-        // Softmax (Eq. 4) backward.
-        for (std::int64_t l = 0; l < len; ++l) {
-          double inner = 0;
-          for (std::int64_t m = 0; m < p_; ++m) {
-            inner += static_cast<double>(k_buf[m * len + l]) * dk[m * len + l];
-          }
-          for (std::int64_t m = 0; m < p_; ++m) {
-            ddist[m * len + l] =
-                k_buf[m * len + l] * (dk[m * len + l] - static_cast<float>(inner)) / tau;
-          }
-        }
         // l1 distance backward with the sign surrogate (Eq. 6):
         // d(-||X_l - C_m||_1)/dC_m =  surrogate(X - C)
         // d(-||X_l - C_m||_1)/dX_l = -surrogate(X - C)
@@ -433,8 +367,8 @@ std::vector<nn::Parameter*> PecanConv2d::parameters() {
 }
 
 ops::OpCount PecanConv2d::inference_ops() const {
-  if (input_shape_.empty()) return {};
-  const nn::Conv2dGeometry g = geometry(input_shape_[2], input_shape_[3]);
+  if (probe_shape_.empty()) return {};
+  const nn::Conv2dGeometry g = geometry(probe_shape_[2], probe_shape_[3]);
   const ops::ConvDims dims{cin_, cout_, k_, g.hout(), g.wout()};
   const ops::PqDims q{p_, D_, d_};
   return config_.mode == MatchMode::Angle ? ops::conv_pecan_a(dims, q) : ops::conv_pecan_d(dims, q);
@@ -451,16 +385,7 @@ Tensor PecanConv2d::quantize_cols(const Tensor& cols) const {
   for (std::int64_t j = 0; j < D_; ++j) {
     match_group(j, cols.data() + j * d_ * len, len, k_buf.data(), hard.data(),
                 /*training_path=*/false);
-    float* xq_group = xq.data() + j * d_ * len;
-    if (config_.mode == MatchMode::Angle) {
-      sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf.data(), len, 0.f,
-            xq_group, len);
-    } else {
-      for (std::int64_t l = 0; l < len; ++l) {
-        const float* proto = codebook_.prototype(j, hard[static_cast<std::size_t>(l)]);
-        for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-      }
-    }
+    lookup_group(j, k_buf.data(), hard.data(), len, xq.data() + j * d_ * len);
   }
   return xq;
 }

@@ -34,8 +34,8 @@ class PecanConv2d : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   /// Stateless prototype matching: the per-call K/hard-index scratch that
-  /// forward() keeps in members lives in `ctx` here, so concurrent calls
-  /// share the (frozen) codebook and filter safely.
+  /// a training forward() keeps in members lives in `ctx` here, so
+  /// concurrent calls share the (frozen) codebook and filter safely.
   Tensor infer(const Tensor& input, nn::InferContext& ctx) const override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return name_; }
@@ -90,6 +90,19 @@ class PecanConv2d : public nn::Module {
   void match_group(std::int64_t j, const float* cols, std::int64_t len, float* k_out,
                    std::int64_t* hard_out, bool training_path) const;
 
+  /// Xq(j) from group j's matching result: C(j) K (Angle) or the hard
+  /// one-hot prototype lookup (Distance). Shared by the output body,
+  /// backward()'s recomputation and quantize_cols().
+  void lookup_group(std::int64_t j, const float* k_buf, const std::int64_t* hard_buf,
+                    std::int64_t len, float* xq_group) const;
+
+  /// The output body of forward() and infer(). A training forward passes
+  /// the caches, which receive every sample's K [N, D, p, L] (with the
+  /// softmax relaxation, `training_path`) and hard indices [N, D, L];
+  /// without them one sample's worth is drawn from the arena.
+  Tensor run(const Tensor& input, nn::InferContext& ctx, Tensor* k_cache,
+             std::vector<std::int64_t>* hard_cache) const;
+
   std::string name_;
   std::int64_t cin_, cout_, k_, stride_, pad_;
   bool has_bias_;
@@ -99,13 +112,12 @@ class PecanConv2d : public nn::Module {
   nn::Parameter bias_;
   Codebook codebook_;
   double epoch_progress_ = 0.0;
+  Shape probe_shape_;  ///< input shape of the last forward(), for inference_ops()
 
-  // Backward context.
+  // Backward context, written only by a training-mode forward().
   Tensor cached_input_;
   Tensor cached_k_;                       ///< [N, D, p, L] soft/attention weights
   std::vector<std::int64_t> cached_hard_; ///< [N, D, L] argmax indices (Distance)
-  Shape input_shape_;
-  std::int64_t cached_n_ = 0;
 };
 
 }  // namespace pecan::pq

@@ -1,7 +1,5 @@
 #include "core/pecan_linear.hpp"
 
-#include <stdexcept>
-
 namespace pecan::pq {
 
 PecanLinear::PecanLinear(std::string name, std::int64_t in_features, std::int64_t out_features,
@@ -11,23 +9,13 @@ PecanLinear::PecanLinear(std::string name, std::int64_t in_features, std::int64_
             config, rng) {}
 
 Tensor PecanLinear::forward(const Tensor& input) {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name() + ": expected [N," + std::to_string(in_) + "], got " +
-                                shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out = conv_.forward(input.reshaped({n, in_, 1, 1}));
-  return std::move(out).reshaped({n, out_});
+  return nn::as_1x1_conv(name(), input, in_, out_,
+                         [&](const Tensor& x) { return conv_.forward(x); });
 }
 
 Tensor PecanLinear::infer(const Tensor& input, nn::InferContext& ctx) const {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name() + ": expected [N," + std::to_string(in_) + "], got " +
-                                shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out = conv_.infer(input.reshaped({n, in_, 1, 1}), ctx);
-  return std::move(out).reshaped({n, out_});
+  return nn::as_1x1_conv(name(), input, in_, out_,
+                         [&](const Tensor& x) { return conv_.infer(x, ctx); });
 }
 
 Tensor PecanLinear::backward(const Tensor& grad_output) {

@@ -15,7 +15,7 @@ class ReLU : public Module {
 
  private:
   std::string name_;
-  Tensor mask_;  ///< 1 where input > 0
+  Tensor output_;  ///< training forward's output; backward passes where > 0
 };
 
 /// [N, C, H, W] (or any rank >= 2) -> [N, prod(rest)].
@@ -29,7 +29,7 @@ class Flatten : public Module {
 
  private:
   std::string name_;
-  Shape input_shape_;
+  Shape input_shape_;  ///< of the last training-mode forward()
 };
 
 }  // namespace pecan::nn

@@ -32,13 +32,17 @@ class AdderConv2d : public Module {
 
  private:
   Conv2dGeometry geometry(std::int64_t hin, std::int64_t win) const;
+  /// The output body of forward() and infer(); `cols_cache` as in Conv2d.
+  Tensor run(const Tensor& input, InferContext& ctx, Tensor* cols_cache) const;
 
   std::string name_;
   std::int64_t cin_, cout_, k_, stride_, pad_;
   Parameter weight_;
-  Tensor cached_cols_;
+  Shape probe_shape_;  ///< input shape of the last forward(), for inference_ops()
+
+  // Backward context, written only by a training-mode forward().
+  Tensor cached_cols_;  ///< [N, rows, cols] per-sample im2col
   Shape input_shape_;
-  std::int64_t cached_n_ = 0;
 };
 
 }  // namespace pecan::nn

@@ -21,54 +21,35 @@ Conv2dGeometry Conv2d::geometry(std::int64_t hin, std::int64_t win) const {
 }
 
 Tensor Conv2d::forward(const Tensor& input) {
-  if (input.ndim() != 4 || input.dim(1) != cin_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) +
-                                ",H,W], got " + shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const Conv2dGeometry g = geometry(hin, win);
-  const std::int64_t rows = g.rows(), cols = g.cols();
-  const std::int64_t ho = g.hout(), wo = g.wout();
-
-  Tensor cols_all({n, rows, cols});
-  Tensor output({n, cout_, ho, wo});
-  for (std::int64_t s = 0; s < n; ++s) {
-    float* col_s = cols_all.data() + s * rows * cols;
-    im2col(input.data() + s * cin_ * hin * win, g, col_s);
-    // Y = W[cout, rows] * cols[rows, cols]
-    matmul(weight_.value.data(), col_s, output.data() + s * cout_ * cols, cout_, cols, rows);
-  }
-  if (has_bias_) {
-    for (std::int64_t s = 0; s < n; ++s) {
-      for (std::int64_t c = 0; c < cout_; ++c) {
-        float* out = output.data() + (s * cout_ + c) * cols;
-        const float b = bias_.value[c];
-        for (std::int64_t i = 0; i < cols; ++i) out[i] += b;
-      }
-    }
-  }
-  input_shape_ = input.shape();  // kept for inference_ops() even in eval mode
-  if (training_) {
-    cached_cols_ = std::move(cols_all);
-    cached_n_ = n;
-  }
+  InferContext ctx;
+  Tensor output = run(input, ctx, training_ ? &cached_cols_ : nullptr);
+  probe_shape_ = input.shape();
+  if (training_) input_shape_ = input.shape();
   return output;
 }
 
 Tensor Conv2d::infer(const Tensor& input, InferContext& ctx) const {
+  return run(input, ctx, nullptr);
+}
+
+Tensor Conv2d::run(const Tensor& input, InferContext& ctx, Tensor* cols_cache) const {
   if (input.ndim() != 4 || input.dim(1) != cin_) {
     throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) +
                                 ",H,W], got " + shape_str(input.shape()));
   }
   const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
   const Conv2dGeometry g = geometry(hin, win);
+  g.validate();  // a bad input throws before any training cache is touched
   const std::int64_t rows = g.rows(), cols = g.cols();
 
+  if (cols_cache) *cols_cache = Tensor({n, rows, cols});
+  float* col = cols_cache ? cols_cache->data() : ctx.arena.floats(rows * cols);
+  const std::int64_t col_step = cols_cache ? rows * cols : 0;
   Tensor output({n, cout_, g.hout(), g.wout()});
-  // One im2col panel, reused per sample (nothing is kept for backward).
-  float* col_s = ctx.arena.floats(rows * cols);
   for (std::int64_t s = 0; s < n; ++s) {
+    float* col_s = col + s * col_step;
     im2col(input.data() + s * cin_ * hin * win, g, col_s);
+    // Y = W[cout, rows] * cols[rows, cols]
     matmul(weight_.value.data(), col_s, output.data() + s * cout_ * cols, cout_, cols, rows);
   }
   if (has_bias_) {
@@ -84,9 +65,8 @@ Tensor Conv2d::infer(const Tensor& input, InferContext& ctx) const {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  if (cached_n_ == 0) throw std::logic_error(name_ + ": backward before forward");
-  const std::int64_t n = cached_n_;
-  const std::int64_t hin = input_shape_[2], win = input_shape_[3];
+  if (input_shape_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  const std::int64_t n = input_shape_[0], hin = input_shape_[2], win = input_shape_[3];
   const Conv2dGeometry g = geometry(hin, win);
   const std::int64_t rows = g.rows(), cols = g.cols();
 
@@ -124,8 +104,8 @@ ops::OpCount Conv2d::inference_ops() const {
   // Per paper convention the op table is computed at the model's nominal
   // input size; layers capture Hout*Wout lazily from the last forward if
   // available, so call forward once (shape probe) before reading this.
-  if (input_shape_.empty()) return {};
-  const Conv2dGeometry g = geometry(input_shape_[2], input_shape_[3]);
+  if (probe_shape_.empty()) return {};
+  const Conv2dGeometry g = geometry(probe_shape_[2], probe_shape_[3]);
   return ops::conv_baseline({cin_, cout_, k_, g.hout(), g.wout()});
 }
 

@@ -37,17 +37,21 @@ class Conv2d : public Module {
 
  private:
   Conv2dGeometry geometry(std::int64_t hin, std::int64_t win) const;
+  /// The output body of forward() and infer(). With `cols_cache` (training)
+  /// every sample's im2col panel is kept there for backward(); without, one
+  /// arena panel is reused per sample.
+  Tensor run(const Tensor& input, InferContext& ctx, Tensor* cols_cache) const;
 
   std::string name_;
   std::int64_t cin_, cout_, k_, stride_, pad_;
   bool has_bias_;
   Parameter weight_;
   Parameter bias_;
+  Shape probe_shape_;  ///< input shape of the last forward(), for inference_ops()
 
-  // Backward context.
-  Tensor cached_cols_;   ///< [N * rows, cols] stacked per-sample im2col
+  // Backward context, written only by a training-mode forward().
+  Tensor cached_cols_;  ///< [N, rows, cols] per-sample im2col
   Shape input_shape_;
-  std::int64_t cached_n_ = 0;
 };
 
 }  // namespace pecan::nn

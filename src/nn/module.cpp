@@ -8,6 +8,11 @@ Tensor Module::infer(const Tensor&, InferContext&) const {
   throw std::logic_error(name() + ": infer() not implemented (training-only module?)");
 }
 
+Tensor Module::eval_forward(const Tensor& input) const {
+  InferContext ctx;
+  return infer(input, ctx);
+}
+
 TensorMap Module::state_dict() {
   TensorMap state;
   for (Parameter* p : parameters()) {

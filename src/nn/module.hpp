@@ -8,21 +8,29 @@
 // epoch-aware tanh sign approximation) exactly where Eq. (5)/(6) of the
 // paper prescribe it.
 //
-// Two execution paths share each layer's math:
-//   * forward()/backward() — the stateful training path: forward caches the
-//     backward context inside the module, so one module supports one
-//     in-flight pass at a time;
-//   * infer(input, ctx) — the stateless serving path: const on the module,
-//     bitwise-identical to an eval-mode forward(), with every per-call
-//     buffer drawn from the caller's InferContext arena. Any number of
-//     in-flight infer() calls may share one network (the runtime Engine
-//     keeps one context per concurrent worker).
+// Each layer has ONE body for its output math, and infer(input, ctx) is
+// that body: const on the module, every per-call buffer drawn from the
+// caller's InferContext arena, so any number of in-flight infer() calls
+// may share one network (the runtime Engine keeps one context per
+// concurrent worker). forward() reuses it:
+//   * an eval-mode forward() IS infer() on a throwaway context, plus (for
+//     layers whose inference_ops() depends on it) a record of the input
+//     shape; containers recurse through forward(), so one eval forward is
+//     the shape probe of a whole network;
+//   * a training-mode forward() runs the same body and adds only what
+//     backward() reads (im2col panels, matching weights, argmax indices,
+//     ReLU outputs), so one module supports one in-flight training pass.
+//     backward() reads only state a training-mode forward() wrote; an eval
+//     forward() in between leaves the pending backward intact.
+// BatchNorm2d is the one exception: its training forward normalizes with
+// batch statistics, different math from the running-statistics infer().
 //
 // Data layout convention: activations are NCHW ([N, C, H, W]) for conv
 // stacks and [N, F] for fully-connected stacks.
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,16 +60,17 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  /// Forward pass; caches context for backward() when training() is true.
+  /// Forward pass: infer() in eval mode; in training mode the same body
+  /// also caches what backward() needs.
   virtual Tensor forward(const Tensor& input) = 0;
 
   /// Given dL/d(output), accumulates parameter grads and returns dL/d(input).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Stateless inference: bitwise-identical to an eval-mode forward() but
-  /// const — all per-call scratch comes from `ctx`, so concurrent calls on
-  /// one module are safe. Layers that can be served must override this;
-  /// the default throws (training-only modules like losses never serve).
+  /// Stateless inference, the layer's output body. Const: all per-call
+  /// scratch comes from `ctx`, so concurrent calls on one module are safe.
+  /// Layers that can be served must override this; the default throws
+  /// (training-only modules like losses never serve).
   virtual Tensor infer(const Tensor& input, InferContext& ctx) const;
 
   /// All trainable parameters (recursively for containers).
@@ -94,6 +103,9 @@ class Module {
   void load_state_dict(const TensorMap& state);
 
  protected:
+  /// infer() on a throwaway context: what an eval-mode forward() returns.
+  Tensor eval_forward(const Tensor& input) const;
+
   bool training_ = true;
 };
 
@@ -131,5 +143,19 @@ class Sequential : public Module {
   std::string name_;
   std::vector<std::unique_ptr<Module>> layers_;
 };
+
+/// The FC-as-1x1-convolution adapter of PecanLinear and CamLinear: checks
+/// an [N, in] input, runs `conv` on its [N, in, 1, 1] view and returns the
+/// result as [N, out].
+template <typename Conv>
+Tensor as_1x1_conv(const std::string& name, const Tensor& input, std::int64_t in,
+                   std::int64_t out, Conv&& conv) {
+  if (input.ndim() != 2 || input.dim(1) != in) {
+    throw std::invalid_argument(name + ": expected [N," + std::to_string(in) + "], got " +
+                                shape_str(input.shape()));
+  }
+  const std::int64_t n = input.dim(0);
+  return conv(input.reshaped({n, in, 1, 1})).reshaped({n, out});
+}
 
 }  // namespace pecan::nn

@@ -18,8 +18,13 @@ class MaxPool2d : public Module {
   std::int64_t stride() const { return stride_; }
 
  private:
+  /// The output body of forward() and infer(); a training forward passes
+  /// `argmax` to keep the winning input index of every output element.
+  Tensor run(const Tensor& input, std::vector<std::int64_t>* argmax) const;
+
   std::string name_;
   std::int64_t k_, stride_;
+  // Backward context, written only by a training-mode forward().
   Shape input_shape_;
   std::vector<std::int64_t> argmax_;  ///< flat input index per output element
 };
@@ -35,7 +40,7 @@ class GlobalAvgPool : public Module {
 
  private:
   std::string name_;
-  Shape input_shape_;
+  Shape input_shape_;  ///< of the last training-mode forward()
 };
 
 }  // namespace pecan::nn

@@ -41,7 +41,7 @@ class OptionAShortcut : public Module {
  private:
   std::string name_;
   std::int64_t cin_, cout_, stride_;
-  Shape input_shape_;
+  Shape input_shape_;  ///< of the last training-mode forward()
 };
 
 /// out = main(x) + shortcut(x), optionally followed by ReLU (ResNet style).
@@ -69,11 +69,15 @@ class Residual : public Module {
   bool relu_after() const { return relu_after_; }
 
  private:
+  /// The block's own output math, shared by forward() and infer():
+  /// main_out += short_out, then the optional ReLU.
+  void merge(Tensor& main_out, const Tensor& short_out) const;
+
   std::string name_;
   std::unique_ptr<Module> main_;
   std::unique_ptr<Module> shortcut_;
   bool relu_after_;
-  Tensor sum_mask_;  ///< ReLU mask over main+shortcut
+  Tensor output_;  ///< training forward's output; backward passes where > 0
 };
 
 }  // namespace pecan::nn

@@ -61,7 +61,7 @@
 #include "nn/module.hpp"
 #include "ops/energy_model.hpp"
 #include "runtime/model_artifact.hpp"
-#include "util/bounded_queue.hpp"
+#include "util/priority_bucket_queue.hpp"
 #include "util/latency_window.hpp"
 #include "util/stats_schema.hpp"
 

@@ -64,7 +64,7 @@
 
 #include "runtime/server.hpp"
 #include "runtime/wire.hpp"
-#include "util/bounded_queue.hpp"
+#include "util/priority_bucket_queue.hpp"
 #include "util/socket.hpp"
 
 namespace pecan::runtime {

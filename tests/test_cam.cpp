@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "cam/cam_array.hpp"
 #include "cam/cam_conv2d.hpp"
@@ -143,26 +144,34 @@ TEST(CamConv2d, EquivalentToPecanAngleLayer) {
   }
 }
 
-TEST(CamConv2d, InferMatchesForwardBitwise) {
-  // The stateless serving path issues the same searches/accumulates in the
-  // same order as forward(), so outputs AND op counts must agree exactly.
+TEST(CamConv2d, InferIsBitwiseUnderBatchSplit) {
+  // Every output element is owned by one (sample, tile) work item, so a
+  // batch's rows equal per-sample calls bit for bit, with the same ledger.
+  // forward() is infer() plus the shape probe that inference_ops() reads.
   Rng rng(5);
   pq::PecanConv2d layer("p", 4, 8, 3, 1, 1, true, dist_cfg(8, 9), rng);
-  layer.set_training(false);
   auto counter = std::make_shared<OpCounter>();
   CamConv2d exported(layer, counter);
-  Tensor x = rng.randn({2, 4, 6, 6});
-  Tensor via_forward = exported.forward(x);
-  const std::uint64_t forward_adds = counter->adds.load();
-  counter->reset();
+  EXPECT_EQ(exported.inference_ops().adds, 0u);
+  Tensor x = rng.randn({3, 4, 6, 6});
   nn::InferContext ctx;
-  Tensor via_infer = exported.infer(x, ctx);
-  ASSERT_TRUE(via_forward.same_shape(via_infer));
-  for (std::int64_t i = 0; i < via_forward.numel(); ++i) {
-    EXPECT_EQ(via_forward[i], via_infer[i]) << i;
+  Tensor batched = exported.infer(x, ctx);
+  const std::uint64_t batched_adds = counter->adds.load();
+  counter->reset();
+  const std::int64_t in_row = 4 * 6 * 6, out_row = 8 * 6 * 6;
+  for (std::int64_t s = 0; s < 3; ++s) {
+    Tensor sample({1, 4, 6, 6});
+    std::copy(x.data() + s * in_row, x.data() + (s + 1) * in_row, sample.data());
+    ctx.reset();
+    Tensor row = exported.infer(sample, ctx);
+    EXPECT_EQ(std::memcmp(row.data(), batched.data() + s * out_row, out_row * sizeof(float)), 0)
+        << "sample " << s;
   }
-  EXPECT_EQ(counter->adds.load(), forward_adds);
+  EXPECT_EQ(counter->adds.load(), batched_adds);
   EXPECT_EQ(counter->muls.load(), 0u);
+  EXPECT_EQ(exported.inference_ops().adds, 0u);  // infer() records nothing
+  exported.forward(x);
+  EXPECT_EQ(exported.inference_ops().adds * 3, batched_adds);
 }
 
 TEST(CamConv2d, DistanceInferenceHasZeroMultiplications) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/introspect.hpp"
 #include "core/pecan_conv2d.hpp"
@@ -145,50 +148,79 @@ TEST(PecanConv, QuantizeColsIdempotentForDistance) {
   for (std::int64_t i = 0; i < q1.numel(); ++i) EXPECT_FLOAT_EQ(q1[i], q2[i]);
 }
 
-TEST(PecanConv, TrainEvalForwardAgreeForDistance) {
-  // STE: the training forward uses hard assignments, so its output must be
-  // identical to the eval forward.
-  Rng rng(7);
-  PecanConv2d layer("p", 2, 3, 3, 1, 1, false, dist_cfg(8, 9), rng);
-  Tensor x = rng.randn({2, 2, 6, 6});
-  layer.set_training(true);
-  Tensor y_train = layer.forward(x);
-  layer.set_training(false);
-  Tensor y_eval = layer.forward(x);
-  for (std::int64_t i = 0; i < y_train.numel(); ++i) {
-    EXPECT_FLOAT_EQ(y_train[i], y_eval[i]);
-  }
+/// Bit-pattern equality (so -0.f != +0.f).
+void expect_bitwise(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0);
 }
 
-TEST(PecanConv, InferMatchesEvalForwardBitwise) {
-  // The stateless serving path must reproduce the eval forward exactly for
-  // both matching modes — same match_group, same lookup, same GEMM order.
+TEST(PecanConv, TrainingForwardMatchesInferBitwise) {
+  // A training forward runs the serving body with caching on (and, for
+  // Distance, the Eq. 4 softmax relaxation for backward). The STE forward
+  // uses the hard assignment, so its output is infer()'s, bit for bit, in
+  // both modes and at any batch size.
+  // 8 groups: the group loop is the parallel axis.
   Rng rng(9);
-  PecanConv2d dist("pd", 2, 3, 3, 1, 1, true, dist_cfg(8, 9), rng);
-  PecanConv2d angle("pa", 2, 3, 3, 1, 1, true, angle_cfg(8, 9), rng);
-  Tensor x = rng.randn({2, 2, 6, 6});
-  nn::InferContext ctx;
+  PecanConv2d dist("pd", 8, 3, 3, 1, 1, true, dist_cfg(8, 9), rng);
+  PecanConv2d angle("pa", 8, 3, 3, 1, 1, true, angle_cfg(8, 9), rng);
   for (PecanConv2d* layer : {&dist, &angle}) {
-    layer->set_training(false);
-    Tensor eval_out = layer->forward(x);
-    ctx.reset();
-    Tensor infer_out = layer->infer(x, ctx);
-    ASSERT_TRUE(infer_out.same_shape(eval_out));
-    for (std::int64_t i = 0; i < eval_out.numel(); ++i) {
-      EXPECT_EQ(infer_out[i], eval_out[i]) << layer->name() << " element " << i;
+    for (const std::int64_t n : {1, 3}) {
+      SCOPED_TRACE(layer->name() + " n=" + std::to_string(n));
+      const Tensor x = rng.randn({n, 8, 6, 6});
+      layer->set_training(true);
+      const Tensor train_out = layer->forward(x);
+      nn::InferContext ctx;
+      expect_bitwise(layer->infer(x, ctx), train_out);
     }
   }
 }
 
-TEST(PecanLinear, InferMatchesEvalForwardBitwise) {
+TEST(PecanLinear, TrainingForwardMatchesInferBitwise) {
   Rng rng(13);
   PecanLinear fc("fc", 16, 4, true, dist_cfg(4, 8), rng);
-  fc.set_training(false);
-  Tensor x = rng.randn({3, 16});
-  Tensor eval_out = fc.forward(x);
-  nn::InferContext ctx;
-  Tensor infer_out = fc.infer(x, ctx);
-  for (std::int64_t i = 0; i < eval_out.numel(); ++i) EXPECT_EQ(infer_out[i], eval_out[i]);
+  for (const std::int64_t n : {1, 3}) {
+    const Tensor x = rng.randn({n, 16});
+    const Tensor train_out = fc.forward(x);
+    nn::InferContext ctx;
+    expect_bitwise(fc.infer(x, ctx), train_out);
+  }
+}
+
+TEST(PecanConv, InterposedEvalForwardLeavesBackwardBitwiseUnchanged) {
+  // backward() reads only what a training forward() cached: an eval
+  // forward() of another shape in between must not change the gradients.
+  Rng rng(15);
+  PecanConv2d dist("pd", 8, 3, 3, 1, 1, true, dist_cfg(8, 9), rng);
+  PecanConv2d angle("pa", 8, 3, 3, 1, 1, true, angle_cfg(8, 9), rng);
+  PecanLinear fc("fc", 16, 4, true, dist_cfg(4, 8), rng);
+  struct Case {
+    nn::Module* layer;
+    Tensor x, other;
+  };
+  const Case cases[] = {{&dist, rng.randn({2, 8, 6, 6}), rng.randn({1, 8, 10, 10})},
+                        {&angle, rng.randn({2, 8, 6, 6}), rng.randn({1, 8, 10, 10})},
+                        {&fc, rng.randn({3, 16}), rng.randn({1, 16})}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.layer->name());
+    std::vector<std::vector<Tensor>> grads;
+    for (const bool interpose : {false, true}) {
+      c.layer->set_training(true);
+      c.layer->set_epoch_progress(0.5);
+      c.layer->zero_grad();
+      const Tensor out = c.layer->forward(c.x);
+      if (interpose) {
+        c.layer->set_training(false);
+        c.layer->forward(c.other);
+        c.layer->set_training(true);
+      }
+      Rng grad_rng(17);
+      grads.push_back({c.layer->backward(grad_rng.randn(out.shape()))});
+      for (nn::Parameter* p : c.layer->parameters()) grads.back().push_back(p->grad);
+    }
+    ASSERT_EQ(grads[0].size(), grads[1].size());
+    for (std::size_t i = 0; i < grads[0].size(); ++i) expect_bitwise(grads[1][i], grads[0][i]);
+  }
 }
 
 TEST(PecanConv, EpochProgressControlsSurrogateSharpness) {

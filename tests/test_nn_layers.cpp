@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/adder_conv.hpp"
@@ -269,53 +273,131 @@ TEST(SoftmaxCrossEntropy, AccuracyPercent) {
 
 // --------------------------------------------------- stateless infer path
 
-/// Every element must match bit-for-bit: infer() is the serving-path twin
-/// of an eval-mode forward().
+/// Every element must match bit-for-bit (bit patterns, so -0.f != +0.f).
 void expect_bitwise(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.same_shape(b));
-  for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]) << "element " << i;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0);
 }
 
-TEST(InferPath, ConvStackMatchesEvalForwardBitwise) {
+/// One fresh instance of every leaf layer (plus a residual block), with the
+/// per-sample input shape it takes.
+struct LayerCase {
+  std::string label;
+  std::unique_ptr<Module> module;
+  Shape input;
+};
+
+std::vector<LayerCase> leaf_layers(bool include_batchnorm) {
   Rng rng(33);
+  std::vector<LayerCase> cases;
+  cases.push_back({"conv", std::make_unique<Conv2d>("conv", 2, 3, 3, 1, 1, true, rng), {2, 6, 6}});
+  // Wide enough that the channel-parallel loop splits across pool lanes.
+  cases.push_back(
+      {"adder", std::make_unique<AdderConv2d>("adder", 4, 32, 3, 1, 1, rng), {4, 8, 8}});
+  cases.push_back({"fc", std::make_unique<Linear>("fc", 12, 5, true, rng), {12}});
+  cases.push_back({"relu", std::make_unique<ReLU>("relu"), {2, 6, 6}});
+  cases.push_back({"flatten", std::make_unique<Flatten>("flatten"), {2, 6, 6}});
+  cases.push_back({"pool", std::make_unique<MaxPool2d>("pool", 2, 2), {2, 6, 6}});
+  cases.push_back({"gap", std::make_unique<GlobalAvgPool>("gap"), {2, 6, 6}});
+  cases.push_back({"sc", std::make_unique<OptionAShortcut>("sc", 2, 4, 2), {2, 6, 6}});
+  auto main = std::make_unique<Sequential>("main");
+  main->emplace<Conv2d>("rc", 2, 4, 3, 2, 1, true, rng);
+  cases.push_back({"residual",
+                   std::make_unique<Residual>("res", std::move(main),
+                                              std::make_unique<OptionAShortcut>("rsc", 2, 4, 2),
+                                              /*relu_after=*/true),
+                   {2, 6, 6}});
+  if (include_batchnorm) {
+    cases.push_back({"bn", std::make_unique<BatchNorm2d>("bn", 2), {2, 6, 6}});
+  }
+  return cases;
+}
+
+Shape batch_of(std::int64_t n, const Shape& sample) {
+  Shape shape{n};
+  shape.insert(shape.end(), sample.begin(), sample.end());
+  return shape;
+}
+
+TEST(InferPath, TrainingForwardMatchesInferBitwise) {
+  // A training forward runs the layer's one output body with caching on;
+  // for every layer but BatchNorm2d (batch statistics) its output is the
+  // serving path's, bit for bit, at any batch size.
+  Rng data_rng(35);
+  for (auto& c : leaf_layers(/*include_batchnorm=*/false)) {
+    for (const std::int64_t n : {1, 3}) {
+      SCOPED_TRACE(c.label + " n=" + std::to_string(n));
+      const Tensor x = data_rng.randn(batch_of(n, c.input));
+      c.module->set_training(true);
+      const Tensor train_out = c.module->forward(x);
+      InferContext ctx;
+      expect_bitwise(c.module->infer(x, ctx), train_out);
+      // A second call reuses the arena slots and must be unchanged.
+      ctx.reset();
+      expect_bitwise(c.module->infer(x, ctx), train_out);
+    }
+  }
+}
+
+TEST(InferPath, ConvStackTrainingForwardMatchesInfer) {
+  Rng rng(37);
   Sequential net("stack");
   net.emplace<Conv2d>("conv", 2, 4, 3, 1, 1, /*bias=*/true, rng);
-  net.emplace<BatchNorm2d>("bn", 4);
   net.emplace<ReLU>("relu");
   net.emplace<MaxPool2d>("pool", 2, 2);
-  net.emplace<Flatten>("flatten");
-  net.emplace<Linear>("fc", 4 * 4 * 4, 5, /*bias=*/true, rng);
-  // Run one training step so BN has non-trivial running stats.
-  Rng data_rng(35);
-  net.forward(data_rng.randn({4, 2, 8, 8}));
-  net.set_training(false);
-
-  Tensor x = data_rng.randn({3, 2, 8, 8});
-  Tensor eval_out = net.forward(x);
+  net.emplace<AdderConv2d>("adder", 4, 4, 3, 1, 1, rng);
+  net.emplace<GlobalAvgPool>("gap");
+  net.emplace<Linear>("fc", 4, 5, /*bias=*/true, rng);
+  Rng data_rng(39);
+  const Tensor x = data_rng.randn({3, 2, 8, 8});
+  const Tensor train_out = net.forward(x);
   InferContext ctx;
-  expect_bitwise(net.infer(x, ctx), eval_out);
-  // Second call reuses the arena slots and must be unchanged.
-  ctx.reset();
-  expect_bitwise(net.infer(x, ctx), eval_out);
+  expect_bitwise(net.infer(x, ctx), train_out);
 }
 
-TEST(InferPath, ResidualAdderGapMatchEvalForward) {
-  Rng rng(37);
-  auto main = std::make_unique<Sequential>("main");
-  main->emplace<AdderConv2d>("adder", 2, 4, 3, 2, 1, rng);
-  main->emplace<BatchNorm2d>("bn", 4);
-  auto shortcut = std::make_unique<OptionAShortcut>("sc", 2, 4, 2);
-  Sequential net("res");
-  net.append(std::make_unique<Residual>("r", std::move(main), std::move(shortcut), true));
-  net.emplace<GlobalAvgPool>("gap");
-  Rng data_rng(39);
-  net.forward(data_rng.randn({2, 2, 8, 8}));
-  net.set_training(false);
+struct Pass {
+  Tensor grad_input;
+  std::vector<Tensor> param_grads;
+};
 
-  Tensor x = data_rng.randn({2, 2, 8, 8});
-  Tensor eval_out = net.forward(x);
-  InferContext ctx;
-  expect_bitwise(net.infer(x, ctx), eval_out);
+/// One training step on `m`: forward(x), then — when `interposed` is set —
+/// an eval-mode forward of a differently shaped batch, then backward().
+Pass train_step(Module& m, const Tensor& x, const Tensor* interposed) {
+  m.set_training(true);
+  m.zero_grad();
+  const Tensor out = m.forward(x);
+  if (interposed) {
+    m.set_training(false);
+    m.forward(*interposed);
+    m.set_training(true);
+  }
+  Rng grad_rng(47);
+  Pass pass{m.backward(grad_rng.randn(out.shape())), {}};
+  for (Parameter* p : m.parameters()) pass.param_grads.push_back(p->grad);
+  return pass;
+}
+
+TEST(InterposedEvalForward, LeavesPendingBackwardBitwiseUnchanged) {
+  // backward() reads only what a training forward() cached: an eval
+  // forward() of another shape in between (a shape probe, a validation
+  // batch) must not change a single bit of the gradients.
+  Rng data_rng(45);
+  for (auto& c : leaf_layers(/*include_batchnorm=*/true)) {
+    SCOPED_TRACE(c.label);
+    // Larger H and W; an FC input keeps its features and differs in batch.
+    Shape other = c.input;
+    for (std::size_t i = 1; i < other.size(); ++i) other[i] += 4;
+    const Tensor x = data_rng.randn(batch_of(2, c.input));
+    const Tensor y = data_rng.randn(batch_of(1, other));
+    const Pass plain = train_step(*c.module, x, nullptr);
+    const Pass interposed = train_step(*c.module, x, &y);
+    expect_bitwise(interposed.grad_input, plain.grad_input);
+    ASSERT_EQ(interposed.param_grads.size(), plain.param_grads.size());
+    for (std::size_t i = 0; i < plain.param_grads.size(); ++i) {
+      expect_bitwise(interposed.param_grads[i], plain.param_grads[i]);
+    }
+  }
 }
 
 TEST(InferPath, InferIsConstAndLeavesTrainingStateAlone) {

@@ -29,7 +29,7 @@
 #include "runtime/server.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
-#include "util/bounded_queue.hpp"
+#include "util/priority_bucket_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pecan {

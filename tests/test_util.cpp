@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/bounded_queue.hpp"
+#include "util/priority_bucket_queue.hpp"
 #include "util/cli.hpp"
 #include "util/csv_writer.hpp"
 #include "util/format.hpp"
