@@ -50,10 +50,6 @@ struct OpCounter {
     return {adds.load(std::memory_order_relaxed), muls.load(std::memory_order_relaxed)};
   }
 
-  ops::OpCount quantized_arithmetic() const {
-    return {adds_q.load(std::memory_order_relaxed), muls_q.load(std::memory_order_relaxed)};
-  }
-
   /// Plain snapshot of the full ledger, for the energy model (exact: each
   /// field is one relaxed load, and counts are only priced after the work
   /// that produced them has joined or is quiesced enough for stats).

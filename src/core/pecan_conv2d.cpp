@@ -266,9 +266,11 @@ Tensor PecanConv2d::backward(const Tensor& grad_output) {
     util::parallel_for(
         0, D_,
         [&](std::int64_t jb0, std::int64_t jb1) {
+    // One dK/dS pair per chunk: sgemm with beta 0 overwrites dk, and the
+    // softmax backward writes every entry of ddist.
+    Tensor dk({p_, len});
+    Tensor ddist({p_, len});
     for (std::int64_t j = jb0; j < jb1; ++j) {
-      Tensor dk({p_, len});
-      Tensor ddist({p_, len});
       const float* k_buf = cached_k_.data() + ((s * D_ + j) * p_) * len;
       const std::int64_t* hard_buf = cached_hard_.data() + (s * D_ + j) * len;
       const float* xj = cols.data() + j * d_ * len;

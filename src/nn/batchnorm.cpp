@@ -63,9 +63,7 @@ Tensor BatchNorm2d::infer(const Tensor& input, InferContext&) const {
   const std::int64_t n = input.dim(0), hw = input.dim(2) * input.dim(3);
   Tensor output(input.shape());
   for (std::int64_t c = 0; c < channels_; ++c) {
-    const float inv_std = 1.f / std::sqrt(running_var_[c] + eps_);
-    const float scale = gamma_.value[c] * inv_std;
-    const float shift = beta_.value[c] - running_mean_[c] * scale;
+    const auto [scale, shift] = affine(c);
     for (std::int64_t s = 0; s < n; ++s) {
       const float* in = input.data() + (s * channels_ + c) * hw;
       float* out = output.data() + (s * channels_ + c) * hw;
@@ -109,20 +107,20 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
 
 std::vector<Parameter*> BatchNorm2d::parameters() { return {&gamma_, &beta_}; }
 
+std::pair<float, float> BatchNorm2d::affine(std::int64_t c) const {
+  const float scale = gamma_.value[c] / std::sqrt(running_var_[c] + eps_);
+  return {scale, beta_.value[c] - running_mean_[c] * scale};
+}
+
 Tensor BatchNorm2d::inference_scale() const {
   Tensor scale({channels_});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    scale[c] = gamma_.value[c] / std::sqrt(running_var_[c] + eps_);
-  }
+  for (std::int64_t c = 0; c < channels_; ++c) scale[c] = affine(c).first;
   return scale;
 }
 
 Tensor BatchNorm2d::inference_shift() const {
   Tensor shift({channels_});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    const float scale = gamma_.value[c] / std::sqrt(running_var_[c] + eps_);
-    shift[c] = beta_.value[c] - running_mean_[c] * scale;
-  }
+  for (std::int64_t c = 0; c < channels_; ++c) shift[c] = affine(c).second;
   return shift;
 }
 

@@ -6,6 +6,8 @@
 // per-channel (scale, shift) pair that Conv2d::fold_scale_shift consumes.
 #pragma once
 
+#include <utility>
+
 #include "nn/module.hpp"
 
 namespace pecan::nn {
@@ -40,6 +42,10 @@ class BatchNorm2d : public Module {
   float momentum_, eps_;
   Parameter gamma_, beta_;
   Tensor running_mean_, running_var_;
+
+  /// Channel c's frozen y = scale * x + shift: the one definition infer()
+  /// and the folding accessors share, so both round identically.
+  std::pair<float, float> affine(std::int64_t c) const;
 
   // Backward context (training batch statistics).
   Tensor cached_xhat_;

@@ -15,14 +15,12 @@ namespace {
 /// Flattens nested Sequentials into a linear step list. Residual blocks
 /// stay single steps: their two branches are an internal fork/join, not a
 /// pipeline stage.
-void flatten(const nn::Module& module, std::vector<const nn::Module*>& plan,
-             std::vector<std::string>& names) {
+void flatten(const nn::Module& module, std::vector<const nn::Module*>& plan) {
   if (const auto* seq = dynamic_cast<const nn::Sequential*>(&module)) {
-    for (std::size_t i = 0; i < seq->size(); ++i) flatten(seq->layer(i), plan, names);
+    for (std::size_t i = 0; i < seq->size(); ++i) flatten(seq->layer(i), plan);
     return;
   }
   plan.push_back(&module);
-  names.push_back(module.name());
 }
 }  // namespace
 
@@ -106,13 +104,11 @@ Engine::~Engine() { shutdown(); }
 
 void Engine::compile() {
   plan_.clear();
-  plan_names_.clear();
-  flatten(active(), plan_, plan_names_);
+  flatten(active(), plan_);
   if (plan_.empty()) throw std::invalid_argument("Engine: empty network");
   if (shadow_.net) {
     shadow_plan_.clear();
-    std::vector<std::string> names;  // twin of plan_names_, not exposed
-    flatten(*shadow_.net, shadow_plan_, names);
+    flatten(*shadow_.net, shadow_plan_);
   }
   if (config_.shard_samples < 0) {
     throw std::invalid_argument("Engine: shard_samples must be >= 0");

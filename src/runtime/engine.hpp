@@ -102,6 +102,11 @@ struct DeadlineExceededError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown when routing to a model name that is not (or no longer) deployed.
+struct UnknownModelError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct EngineConfig {
   ExecPath path = ExecPath::Float;
   std::int64_t max_batch = 8;                       ///< micro-batch size cap
@@ -295,7 +300,6 @@ class Engine {
   void shutdown();
 
   std::int64_t plan_size() const { return static_cast<std::int64_t>(plan_.size()); }
-  const std::vector<std::string>& plan_names() const { return plan_names_; }
   ExecPath path() const { return config_.path; }
   /// Operating point the CAM kernels actually run at (Float32 on the Float
   /// path and for float CAM deploys).
@@ -396,7 +400,6 @@ class Engine {
   cam::MatchlineNoiseReport noise_report_;
 
   std::vector<const nn::Module*> plan_;  ///< flattened execution steps, in order
-  std::vector<std::string> plan_names_;
   std::vector<const nn::Module*> shadow_plan_;  ///< golden twin steps (noise on only)
 
   // Shadow sampling state: parent_seq_ picks every Nth parent request;

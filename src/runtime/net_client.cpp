@@ -7,8 +7,7 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/engine.hpp"          // OverloadedError, EngineStoppedError, DeadlineExceededError
-#include "runtime/model_registry.hpp"  // UnknownModelError
+#include "runtime/engine.hpp"  // the typed serving errors
 
 namespace pecan::runtime {
 
@@ -87,11 +86,6 @@ std::uint64_t NetClient::send_frame(wire::Opcode op, const std::string& model,
 std::uint64_t NetClient::send_infer(const std::string& model, const Tensor& sample,
                                     std::uint8_t priority, std::uint32_t deadline_ms) {
   return send_frame(wire::Opcode::Infer, model, &sample, {}, priority, deadline_ms);
-}
-
-std::uint64_t NetClient::send_infer_batch(const std::string& model, const Tensor& batch,
-                                          std::uint8_t priority, std::uint32_t deadline_ms) {
-  return send_frame(wire::Opcode::InferBatch, model, &batch, {}, priority, deadline_ms);
 }
 
 std::uint64_t NetClient::send_ping() { return send_frame(wire::Opcode::Ping, {}, nullptr, {}); }

@@ -104,8 +104,6 @@ class NetClient {
   /// executing.
   std::uint64_t send_infer(const std::string& model, const Tensor& sample,
                            std::uint8_t priority = 0, std::uint32_t deadline_ms = 0);
-  std::uint64_t send_infer_batch(const std::string& model, const Tensor& batch,
-                                 std::uint8_t priority = 0, std::uint32_t deadline_ms = 0);
   std::uint64_t send_ping();
   /// Blocks for the next reply frame (any request). Throws ConnectionError
   /// when the server closes the connection or the reply stream tears.

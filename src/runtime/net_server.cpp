@@ -12,15 +12,9 @@
 #include <unistd.h>
 #include <utility>
 
-#include "runtime/model_registry.hpp"
 #include "tensor/serialize.hpp"
 #include "util/fault_injector.hpp"
 #include "util/timer.hpp"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define PECAN_HAVE_EPOLL 1
-#endif
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
@@ -79,7 +73,7 @@ void append_json(std::string& out, const V& v) {
 // ------------------------------------------------------------------ plumbing
 
 /// One live client connection. The reactor owns the fd, the decoder, and the
-/// poller-interest mirrors (reactor-thread only); executors touch only the
+/// poll-interest mirrors (reactor-thread only); executors touch only the
 /// mutex-guarded write queue and the atomic closed flag.
 struct NetServer::Conn {
   Conn(int raw_fd, std::size_t max_frame) : fd(raw_fd), decoder(max_frame) {}
@@ -95,7 +89,7 @@ struct NetServer::Conn {
 
   // Reactor-thread state.
   bool reading = true;           ///< false once draining or stream-poisoned
-  bool want_write = false;       ///< poller write-interest mirror
+  bool want_write = false;       ///< POLLOUT-interest mirror
   bool close_after_flush = false;
 };
 
@@ -113,89 +107,6 @@ struct NetServer::Job {
   /// forwarded into the engine's admission + expiry sweep.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-};
-
-/// Readiness-notification backend: epoll where available, poll() otherwise.
-/// Reactor-thread only.
-class NetServer::Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool error = false;
-  };
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool rd, bool wr) = 0;
-  virtual void mod(int fd, bool rd, bool wr) = 0;
-  virtual void del(int fd) = 0;
-  virtual void wait(std::vector<Event>& out, int timeout_ms) = 0;
-};
-
-#ifdef PECAN_HAVE_EPOLL
-class NetServer::EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {
-    if (!epfd_.valid()) throw std::runtime_error("epoll_create1 failed");
-  }
-  void add(int fd, bool rd, bool wr) override { ctl(EPOLL_CTL_ADD, fd, rd, wr); }
-  void mod(int fd, bool rd, bool wr) override { ctl(EPOLL_CTL_MOD, fd, rd, wr); }
-  void del(int fd) override { ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, nullptr); }
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    epoll_event events[64];
-    const int n = ::epoll_wait(epfd_.get(), events, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & EPOLLERR) != 0;
-      out.push_back(ev);
-    }
-  }
-
- private:
-  void ctl(int op, int fd, bool rd, bool wr) {
-    epoll_event ev{};
-    ev.data.fd = fd;
-    ev.events = (rd ? EPOLLIN : 0u) | (wr ? EPOLLOUT : 0u);
-    if (::epoll_ctl(epfd_.get(), op, fd, &ev) != 0) {
-      throw std::runtime_error(std::string("epoll_ctl failed: ") + std::strerror(errno));
-    }
-  }
-  util::Fd epfd_;
-};
-#endif
-
-class NetServer::PollPoller final : public Poller {
- public:
-  void add(int fd, bool rd, bool wr) override { interest_[fd] = events(rd, wr); }
-  void mod(int fd, bool rd, bool wr) override { interest_[fd] = events(rd, wr); }
-  void del(int fd) override { interest_.erase(fd); }
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    fds_.clear();
-    for (const auto& [fd, ev] : interest_) fds_.push_back({fd, ev, 0});
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(ev);
-    }
-  }
-
- private:
-  static short events(bool rd, bool wr) {
-    return static_cast<short>((rd ? POLLIN : 0) | (wr ? POLLOUT : 0));
-  }
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
 };
 
 // ----------------------------------------------------------------- lifecycle
@@ -227,17 +138,8 @@ void NetServer::start() {
   util::set_nonblocking(wake_read_.get(), true);
   util::set_nonblocking(wake_write_.get(), true);
 
-#ifdef PECAN_HAVE_EPOLL
-  if (config_.force_poll) {
-    poller_ = std::make_unique<PollPoller>();
-  } else {
-    poller_ = std::make_unique<EpollPoller>();
-  }
-#else
-  poller_ = std::make_unique<PollPoller>();
-#endif
-  poller_->add(listen_fd_.get(), /*rd=*/true, /*wr=*/false);
-  poller_->add(wake_read_.get(), /*rd=*/true, /*wr=*/false);
+  watch(listen_fd_.get(), /*rd=*/true, /*wr=*/false);
+  watch(wake_read_.get(), /*rd=*/true, /*wr=*/false);
 
   running_.store(true, std::memory_order_release);
   for (int i = 0; i < config_.executors; ++i) {
@@ -258,7 +160,6 @@ void NetServer::stop() {
   jobs_.close();
   for (std::thread& t : executors_) t.join();
   executors_.clear();
-  poller_.reset();
   wake_read_.reset();
   wake_write_.reset();
   running_.store(false, std::memory_order_release);
@@ -282,8 +183,12 @@ void NetServer::wake_reactor() {
   [[maybe_unused]] const ssize_t rc = ::write(wake_write_.get(), &byte, 1);
 }
 
+void NetServer::watch(int fd, bool rd, bool wr) {
+  interest_[fd] = static_cast<short>((rd ? POLLIN : 0) | (wr ? POLLOUT : 0));
+}
+
 void NetServer::reactor_loop() {
-  std::vector<Poller::Event> events;
+  std::vector<pollfd> fds;
   util::Timer drain_timer;
   bool drain_started = false;
 
@@ -306,12 +211,12 @@ void NetServer::reactor_loop() {
         // Stop accepting and stop reading: no new requests enter; in-flight
         // ones keep executing and their replies keep flushing.
         if (listen_fd_.valid()) {
-          poller_->del(listen_fd_.get());
+          interest_.erase(listen_fd_.get());
           listen_fd_.reset();
         }
         for (auto& [fd, conn] : conns_) {
           conn->reading = false;
-          poller_->mod(fd, /*rd=*/false, conn->want_write);
+          watch(fd, /*rd=*/false, conn->want_write);
         }
       }
       bool flushed = true;
@@ -328,28 +233,33 @@ void NetServer::reactor_loop() {
       if (drained || expired) break;
     }
 
-    poller_->wait(events, drain_started ? 10 : 200);
-    for (const Poller::Event& ev : events) {
-      if (listen_fd_.valid() && ev.fd == listen_fd_.get()) {
+    // The interest set is copied each round: handlers below may watch or
+    // drop fds while this round's results are walked.
+    fds.clear();
+    for (const auto& [fd, events] : interest_) fds.push_back({fd, events, 0});
+    if (::poll(fds.data(), fds.size(), drain_started ? 10 : 200) <= 0) continue;
+    for (const pollfd& ready : fds) {
+      if (ready.revents == 0) continue;
+      if (listen_fd_.valid() && ready.fd == listen_fd_.get()) {
         accept_ready();
         continue;
       }
-      if (ev.fd == wake_read_.get()) {
+      if (ready.fd == wake_read_.get()) {
         char buf[256];
         while (::read(wake_read_.get(), buf, sizeof(buf)) > 0) {
         }
         continue;
       }
-      const auto it = conns_.find(ev.fd);
+      const auto it = conns_.find(ready.fd);
       if (it == conns_.end()) continue;
       std::shared_ptr<Conn> conn = it->second;  // keep alive across handlers
-      if (ev.error) {
+      if (ready.revents & (POLLERR | POLLNVAL)) {
         close_conn(conn);
         continue;
       }
-      if (ev.readable && conn->reading) handle_readable(conn);
+      if ((ready.revents & (POLLIN | POLLHUP)) && conn->reading) handle_readable(conn);
       if (conn->closed.load(std::memory_order_acquire)) continue;
-      if (ev.writable && !flush_writes(conn)) close_conn(conn);
+      if ((ready.revents & POLLOUT) && !flush_writes(conn)) close_conn(conn);
     }
   }
 
@@ -375,7 +285,7 @@ void NetServer::accept_ready() {
     }
     auto conn = std::make_shared<Conn>(cfd, config_.max_frame_bytes);
     conns_[cfd] = conn;
-    poller_->add(cfd, /*rd=*/true, /*wr=*/false);
+    watch(cfd, /*rd=*/true, /*wr=*/false);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.connections_accepted;
     ++stats_.connections_active;
@@ -385,7 +295,7 @@ void NetServer::accept_ready() {
 void NetServer::close_conn(const std::shared_ptr<Conn>& conn) {
   if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
   const int fd = conn->fd.get();
-  poller_->del(fd);
+  interest_.erase(fd);
   conns_.erase(fd);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   --stats_.connections_active;
@@ -437,7 +347,7 @@ void NetServer::handle_readable(const std::shared_ptr<Conn>& conn) {
                          conn->decoder.error_request_id(), {}, conn->decoder.error());
       conn->reading = false;
       conn->close_after_flush = true;
-      poller_->mod(conn->fd.get(), /*rd=*/false, conn->want_write);
+      watch(conn->fd.get(), /*rd=*/false, conn->want_write);
       post_reply(conn, std::move(reply), wire::Status::BadFrame);
       return;
     }
@@ -615,7 +525,7 @@ void NetServer::execute(Job& job) {
     message = e.what();
   } catch (const ArtifactCorruptError& e) {
     // A corrupt artifact is the deployer's bad input, not a server fault;
-    // the registry is untouched (deploy_file throws before install).
+    // the model table is untouched (deploy_file throws before install).
     status = wire::Status::BadRequest;
     message = e.what();
   } catch (const EngineStoppedError& e) {
@@ -700,11 +610,11 @@ bool NetServer::flush_writes(const std::shared_ptr<Conn>& conn) {
     if (conn->close_after_flush) return false;  // error reply delivered; close
     if (conn->want_write) {
       conn->want_write = false;
-      poller_->mod(fd, conn->reading, false);
+      watch(fd, conn->reading, false);
     }
   } else if (!conn->want_write) {
     conn->want_write = true;
-    poller_->mod(fd, conn->reading, true);
+    watch(fd, conn->reading, true);
   }
   return true;
 }

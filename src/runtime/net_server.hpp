@@ -1,17 +1,17 @@
 // runtime::NetServer — the TCP wire-protocol front door over runtime::Server.
 //
-// After PRs 1–5 the serving stack (engine micro-batching, registry hot-swap,
-// admission control, sharded batches) was only reachable in-process; every
-// throughput number was a thread-pool simulation. NetServer puts a real
-// socket boundary in front of it, speaking the length-prefixed binary
-// protocol of runtime/wire.hpp.
+// runtime::Server (engine micro-batching, hot-swap, admission control,
+// sharded batches) is an in-process API. NetServer puts a real socket
+// boundary in front of it, speaking the length-prefixed binary protocol of
+// runtime/wire.hpp.
 //
 // Architecture — one reactor, W executors, replies multiplexed:
 //
-//   * Reactor thread. A non-blocking accept loop plus per-connection reads,
-//     driven by epoll on Linux (poll() fallback elsewhere, or on request via
-//     NetServerConfig::force_poll). The reactor decodes frames straight out
-//     of each connection's receive buffer — for INFER/INFER_BATCH the
+//   * Reactor thread. A non-blocking accept loop plus per-connection reads
+//     and writes, driven by poll() over an interest set only the reactor
+//     touches (at the few connections the wire carries, poll() keeps pace
+//     with epoll, and it is portable). The reactor decodes frames straight
+//     out of each connection's receive buffer — for INFER/INFER_BATCH the
 //     payload floats land directly in the engine-ready Tensor (one
 //     socket-buffer→tensor copy, no intermediate frame or batch assembly;
 //     the fused im2col_tile path downstream means no contiguous batch tensor
@@ -46,7 +46,7 @@
 //     every connection, lets in-flight requests finish and their replies
 //     flush, then closes connections and joins threads — bounded by
 //     NetServerConfig::drain_timeout so a wedged peer cannot hold shutdown
-//     hostage. Engine hot-swap needs nothing from this layer: the registry's
+//     hostage. Engine hot-swap needs nothing from this layer: the Server's
 //     lease semantics already drain the retired engine under live traffic.
 //
 // The NetServer borrows the Server (not owned); the Server must outlive it.
@@ -75,7 +75,6 @@ struct NetServerConfig {
   int executors = 2;       ///< request-execution threads (>= 1)
   std::size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
   std::chrono::milliseconds drain_timeout{5000};  ///< stop() upper bound
-  bool force_poll = false;  ///< use the poll() backend even where epoll exists
   /// Priority classes of the executor job queue: a frame's optional priority
   /// byte (clamped to [0, priority_classes-1]) orders execution — executors
   /// always pop the highest class first — and is forwarded to
@@ -131,9 +130,6 @@ class NetServer {
  private:
   struct Conn;
   struct Job;
-  class Poller;
-  class EpollPoller;
-  class PollPoller;
 
   void reactor_loop();
   void executor_loop();
@@ -149,6 +145,8 @@ class NetServer {
   void post_reply(const std::shared_ptr<Conn>& conn, std::vector<std::uint8_t> bytes,
                   wire::Status status);
   void wake_reactor();
+  /// Sets the poll() interest of `fd` (reactor thread only).
+  void watch(int fd, bool rd, bool wr);
   void close_conn(const std::shared_ptr<Conn>& conn);
   bool flush_writes(const std::shared_ptr<Conn>& conn);  ///< false = conn died
 
@@ -158,7 +156,7 @@ class NetServer {
 
   util::Fd listen_fd_;
   util::Fd wake_read_, wake_write_;  ///< self-pipe: executors wake the reactor
-  std::unique_ptr<Poller> poller_;
+  std::map<int, short> interest_;    ///< fd -> POLLIN/POLLOUT; reactor-thread only
 
   std::thread reactor_;
   std::vector<std::thread> executors_;

@@ -4,21 +4,29 @@
 
 namespace pecan::runtime {
 
-Server::Counters& Server::counters(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  std::unique_ptr<Counters>& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counters>();
-  return *slot;
+const Server::Slot& Server::slot(const std::string& name) const {
+  auto it = slots_.find(name);
+  if (it == slots_.end()) {
+    throw UnknownModelError("Server: no model '" + name + "' is deployed");
+  }
+  return it->second;
 }
 
 std::uint64_t Server::install(const std::string& name, std::shared_ptr<Engine> engine) {
-  ModelRegistry::InstallResult result = registry_.install(name, std::move(engine));
-  counters(name).deploys.fetch_add(1, std::memory_order_relaxed);
-  // `result.retired` goes out of scope here: if this was the last lease the
-  // old engine drains its pending queue and joins its batcher now, on the
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Slot& entry = slots_[name];
+    std::swap(entry.engine, engine);  // `engine` now holds the retired one, if any
+    generation = ++entry.generation;
+    ++entry.deploys;
+  }
+  // The retired engine drops here, with the table unlocked: if this was the
+  // last lease it drains its pending queue and joins its batcher now, on the
   // deployer's thread; otherwise teardown happens when the last in-flight
   // request drops its lease.
-  return result.generation;
+  engine.reset();
+  return generation;
 }
 
 std::uint64_t Server::deploy(const std::string& name, std::unique_ptr<nn::Sequential> net,
@@ -40,56 +48,102 @@ std::uint64_t Server::deploy(const std::string& name, const ModelArtifact& artif
 std::uint64_t Server::deploy_file(const std::string& name, const std::string& path,
                                   EngineConfig config) {
   // load_artifact throws before any engine exists, and deploy() compiles
-  // before touching the registry — so every failure mode leaves the
-  // currently serving generation in place.
+  // before touching the table — so every failure mode leaves the currently
+  // serving generation in place.
   const ModelArtifact artifact = load_artifact(path);
   return deploy(name, artifact, std::move(config));
 }
 
 void Server::undeploy(const std::string& name) {
-  std::shared_ptr<Engine> retired = registry_.erase(name);
-  if (!retired) throw UnknownModelError("Server::undeploy: no model '" + name + "' is deployed");
-  // Drops here — same deferred-teardown contract as a hot-swap.
+  std::shared_ptr<Engine> retired;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = slots_.find(name);
+    if (it == slots_.end()) {
+      throw UnknownModelError("Server::undeploy: no model '" + name + "' is deployed");
+    }
+    retired = std::move(it->second.engine);
+    slots_.erase(it);
+  }
+  // `retired` drops here — same deferred-teardown contract as a hot-swap.
 }
 
 std::future<Tensor> Server::submit(const std::string& name, Tensor sample,
                                    std::int64_t priority,
                                    std::chrono::steady_clock::time_point deadline) {
-  std::shared_ptr<Engine> engine = registry_.acquire(name);
+  std::shared_ptr<Engine> engine = lease(name);
   try {
     return engine->submit(std::move(sample), priority, deadline);
   } catch (const OverloadedError&) {
-    counters(name).shed.fetch_add(1, std::memory_order_relaxed);
+    // Booked to the name, whichever generation shed it; a shed that races an
+    // undeploy goes with the slot it would have counted in.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = slots_.find(name);
+      if (it != slots_.end()) ++it->second.shed;
+    }
     throw;
   }
 }
 
 Tensor Server::forward_batch(const std::string& name, const Tensor& batch) {
-  std::shared_ptr<Engine> engine = registry_.acquire(name);
+  std::shared_ptr<Engine> engine = lease(name);
   return engine->forward_batch(batch);
 }
 
+std::shared_ptr<Engine> Server::lease(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slot(name).engine;
+}
+
+bool Server::has_model(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_.count(name) != 0;
+}
+
+std::vector<std::string> Server::models() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::string> names;
+  names.reserve(slots_.size());
+  for (const auto& [name, entry] : slots_) names.push_back(name);
+  return names;
+}
+
+std::uint64_t Server::generation(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(name);
+  return it == slots_.end() ? 0 : it->second.generation;
+}
+
 ModelServerStats Server::stats(const std::string& name) const {
-  // One locked registry read: the generation always describes the engine
-  // we snapshot, even if a hot-swap lands between here and stats().
-  const ModelRegistry::Lease lease = registry_.acquire_with_generation(name);
   ModelServerStats out;
-  out.generation = lease.generation;
-  out.cam_precision = lease.engine->cam_precision();
+  std::shared_ptr<Engine> engine;
+  {
+    // One critical section: the generation and counters always describe the
+    // engine we snapshot, even if a hot-swap lands right after.
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Slot& entry = slot(name);
+    engine = entry.engine;
+    out.generation = entry.generation;
+    out.deploys = entry.deploys;
+    // Server-routed sheds across every generation of this name; the live
+    // engine's stats().shed only covers the current generation.
+    out.shed_total = entry.shed;
+  }
+  out.cam_precision = engine->cam_precision();
   out.cam_isa = kernels::active().isa;
-  out.engine = lease.engine->stats();
-  const Counters& c = counters(name);
-  out.deploys = c.deploys.load(std::memory_order_relaxed);
-  // Server-routed sheds across every generation of this name; the live
-  // engine's stats().shed only covers the current generation.
-  out.shed_total = c.shed.load(std::memory_order_relaxed);
+  out.engine = engine->stats();
   return out;
 }
 
 void Server::shutdown() {
-  std::vector<std::shared_ptr<Engine>> retired = registry_.clear();
-  // Engines drain and join as each shared_ptr drops (ours may be the last).
-  retired.clear();
+  std::map<std::string, Slot> retired;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    retired.swap(slots_);
+  }
+  // Engines drain and join as `retired` drops each shared_ptr (ours may be
+  // the last lease).
 }
 
 }  // namespace pecan::runtime

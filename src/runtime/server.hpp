@@ -1,32 +1,36 @@
 // runtime::Server — the multi-model serving front door.
 //
-// One Server owns a ModelRegistry of named engines and routes requests to
-// them: submit(model, sample) for micro-batched single samples and
-// forward_batch(model, batch) for synchronous batches. On top of the
-// per-engine guarantees (bitwise-deterministic stateless forwards, bounded
-// pending queue) it adds the three things a production process needs:
+// One Server keeps one table of named engines and routes requests to them:
+// submit(model, sample) for micro-batched single samples and
+// forward_batch(model, batch) for synchronous batches. Each name's slot holds
+// the engine serving it, its generation and its swap-surviving counters,
+// all under one mutex. On top of the per-engine guarantees
+// (bitwise-deterministic stateless forwards, bounded pending queue) it adds
+// the three things a production process needs:
 //
 //   * Deployment. deploy(name, ...) compiles a network or artifact into an
-//     Engine off the serving path — no registry lock is held while weights
+//     Engine off the serving path — no table lock is held while weights
 //     load, CAM exports build, or plans flatten — and only then swaps it in.
 //     A deploy that throws (corrupt artifact, PQ drift, bad config) leaves
-//     the registry untouched: the old engine keeps serving and the error
+//     the table untouched: the old engine keeps serving and the error
 //     surfaces to the deployer alone.
 //
-//   * Atomic hot-swap. The registry slot holds a shared_ptr<Engine>; every
-//     request leases it for exactly one forward. After a swap, new requests
-//     route to the new engine while in-flight requests drain on the old one,
-//     which is destroyed (pending queue drained, batcher joined) only when
-//     the last lease drops. A single reply therefore never mixes weights
-//     from two generations, and no accepted request is lost across a swap.
+//   * Atomic hot-swap. The slot holds a shared_ptr<Engine>, and that
+//     shared_ptr IS the lease: every request holds it for exactly one
+//     forward. After a swap, new requests route to the new engine while
+//     in-flight requests drain on the old one, which is destroyed (pending
+//     queue drained, batcher joined) only when the last lease drops — never
+//     under the table lock, so lookups never stall behind a swap. A single
+//     reply therefore never mixes weights from two generations, and no
+//     accepted request is lost across a swap.
 //
 //   * Admission control. Each engine bounds its pending queue
 //     (EngineConfig::max_pending); Backpressure::Block propagates the wait
 //     to the submitting client, Backpressure::Reject sheds with
-//     OverloadedError. The Server keeps per-model-name cumulative counters
-//     (sheds, deploys) that survive hot-swaps, and stats(name) merges them
-//     with the live engine's snapshot (queue depth, in-flight, latency
-//     percentiles, shard counters).
+//     OverloadedError. The slot's counters (sheds, deploys) survive
+//     hot-swaps and restart after undeploy, as the generation does, and
+//     stats(name) merges them with the live engine's snapshot (queue depth,
+//     in-flight, latency percentiles, shard counters).
 //
 //   * Sharded big batches, for free. forward_batch(model, batch) routes to
 //     Engine::forward_batch, which splits large batches into sample shards
@@ -39,7 +43,6 @@
 //     first-request latency after a hot-swap free of arena growth.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -51,7 +54,6 @@
 
 #include "runtime/engine.hpp"
 #include "runtime/model_artifact.hpp"
-#include "runtime/model_registry.hpp"
 #include "util/stats_schema.hpp"
 
 namespace pecan::runtime {
@@ -70,7 +72,7 @@ namespace pecan::runtime {
   X(EngineStats, engine, {}, "struct", "live engine snapshot (current generation)")
 
 /// Per-model view returned by Server::stats(): the live engine snapshot plus
-/// the server's cumulative, swap-surviving counters.
+/// the slot's cumulative, swap-surviving counters.
 PECAN_STATS_STRUCT(ModelServerStats, PECAN_MODEL_SERVER_STATS)
 
 class Server {
@@ -82,8 +84,8 @@ class Server {
 
   /// Compiles `net` into an Engine and installs it under `name` (first
   /// deploy or hot-swap). Returns the new generation. If compilation
-  /// throws, the registry is untouched. Unload of the replaced engine is
-  /// deferred until its last lease drops: usually that is the registry's
+  /// throws, the table is untouched. Unload of the replaced engine is
+  /// deferred until its last lease drops: usually that is the table's
   /// own reference, so the old engine drains on THIS thread before deploy
   /// returns; with requests still in flight, the drain runs on whichever
   /// thread releases the final lease.
@@ -100,11 +102,11 @@ class Server {
   /// for the wire DEPLOY opcode and pull-based rollouts. Load, rebuild, and
   /// compile all happen off the serving path; a failure at any stage
   /// (missing file, corrupt artifact, PQ drift) throws and leaves the
-  /// registry untouched — the old generation keeps serving.
+  /// table untouched — the old generation keeps serving.
   std::uint64_t deploy_file(const std::string& name, const std::string& path,
                             EngineConfig config = {});
 
-  /// Removes `name` from the registry. Outstanding leases drain on their
+  /// Removes `name` and its counters. Outstanding leases drain on their
   /// owners' threads; subsequent requests throw UnknownModelError.
   void undeploy(const std::string& name);
 
@@ -128,11 +130,14 @@ class Server {
   /// Leases the engine currently serving `name` (advanced use: pinning one
   /// generation across several calls, reading cam_export(), ...). The lease
   /// keeps that generation alive even across hot-swaps — drop it promptly.
-  std::shared_ptr<Engine> lease(const std::string& name) const { return registry_.acquire(name); }
+  /// Throws UnknownModelError.
+  std::shared_ptr<Engine> lease(const std::string& name) const;
 
-  bool has_model(const std::string& name) const { return registry_.contains(name); }
-  std::vector<std::string> models() const { return registry_.names(); }
-  std::uint64_t generation(const std::string& name) const { return registry_.generation(name); }
+  bool has_model(const std::string& name) const;
+  std::vector<std::string> models() const;  ///< sorted
+  /// Generation serving `name`; 0 when not deployed (the first deploy, and
+  /// the first after an undeploy, produces generation 1).
+  std::uint64_t generation(const std::string& name) const;
 
   /// Cumulative + live stats for one model. Throws UnknownModelError.
   ModelServerStats stats(const std::string& name) const;
@@ -142,19 +147,21 @@ class Server {
   void shutdown();
 
  private:
-  /// Swap-surviving per-name counters. Values are pointers so the map can
-  /// grow under its mutex while counters tick lock-free outside it.
-  struct Counters {
-    std::atomic<std::uint64_t> deploys{0};
-    std::atomic<std::uint64_t> shed{0};
+  /// One deployed name. The counters survive hot-swaps; undeploy erases the
+  /// slot, so generation and counters restart together.
+  struct Slot {
+    std::shared_ptr<Engine> engine;
+    std::uint64_t generation = 0;
+    std::uint64_t deploys = 0;
+    std::uint64_t shed = 0;
   };
 
-  Counters& counters(const std::string& name) const;
+  /// The slot serving `name`; requires mutex_. Throws UnknownModelError.
+  const Slot& slot(const std::string& name) const;
   std::uint64_t install(const std::string& name, std::shared_ptr<Engine> engine);
 
-  ModelRegistry registry_;
-  mutable std::mutex counters_mutex_;
-  mutable std::map<std::string, std::unique_ptr<Counters>> counters_;
+  mutable std::mutex mutex_;
+  std::map<std::string, Slot> slots_;
 };
 
 }  // namespace pecan::runtime

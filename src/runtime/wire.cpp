@@ -24,18 +24,6 @@ void append(std::vector<std::uint8_t>& out, T v) {
 
 }  // namespace
 
-const char* opcode_name(Opcode op) {
-  switch (op) {
-    case Opcode::Ping: return "PING";
-    case Opcode::Infer: return "INFER";
-    case Opcode::InferBatch: return "INFER_BATCH";
-    case Opcode::Stats: return "STATS";
-    case Opcode::ListModels: return "LIST_MODELS";
-    case Opcode::Deploy: return "DEPLOY";
-  }
-  return "UNKNOWN";
-}
-
 const char* status_name(Status status) {
   switch (status) {
     case Status::Ok: return "OK";

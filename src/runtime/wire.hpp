@@ -107,7 +107,6 @@ enum class Status : std::uint16_t {
   DeadlineExceeded = 7,  ///< the request's deadline lapsed before a result was ready
 };
 
-const char* opcode_name(Opcode op);
 const char* status_name(Status status);
 
 /// One decoded frame. Views point into the Decoder's buffer and stay valid

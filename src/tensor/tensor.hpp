@@ -34,9 +34,6 @@ class Tensor {
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value) { return Tensor(std::move(shape), value); }
-  static Tensor from_vector(Shape shape, std::vector<float> data) {
-    return Tensor(std::move(shape), std::move(data));
-  }
 
   const Shape& shape() const { return shape_; }
   std::int64_t ndim() const { return static_cast<std::int64_t>(shape_.size()); }

@@ -7,7 +7,7 @@
 // them. The queue owns the policy decisions a serving front door needs and
 // nothing else:
 //   * a capacity bound — push() blocks while full (backpressure propagates
-//     to the caller), try_push() returns Full immediately (caller sheds);
+//     to the caller), try_push_evict() sheds at once (see below);
 //   * close semantics — close() wakes every blocked producer and consumer;
 //     pushes after close fail with Closed, pops keep draining whatever is
 //     already queued so no accepted item is ever dropped;
@@ -54,7 +54,7 @@ namespace pecan::util {
 
 enum class PushResult {
   Ok,      ///< item accepted (and moved from)
-  Full,    ///< capacity reached (try_push only); item untouched
+  Full,    ///< capacity reached (try_push_evict only); item untouched
   Closed,  ///< queue closed; item untouched
 };
 
@@ -70,25 +70,12 @@ class PriorityBucketQueue {
   PriorityBucketQueue(const PriorityBucketQueue&) = delete;
   PriorityBucketQueue& operator=(const PriorityBucketQueue&) = delete;
 
-  /// Non-blocking push into class `cls` (clamped to the top class): sheds the
-  /// INCOMING item when full.
-  PushResult try_push(T& item, std::size_t cls) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cls = clamp_class(cls);
-      if (closed_) return PushResult::Closed;
-      if (at_capacity()) return PushResult::Full;
-      enqueue(std::move(item), cls);
-    }
-    cv_.notify_all();
-    return PushResult::Ok;
-  }
-
-  /// Non-blocking push that sheds the lowest class first: when full, the
-  /// newest item of the lowest occupied class STRICTLY below `cls` is evicted
-  /// into `evicted` (the caller owns failing it) and `item` is accepted. If
-  /// `cls` is itself (tied for) the lowest, the incoming item sheds instead
-  /// (Full, item untouched).
+  /// Non-blocking push into class `cls` (clamped to the top class) that sheds
+  /// the lowest class first: when full, the newest item of the lowest
+  /// occupied class STRICTLY below `cls` is evicted into `evicted` (the
+  /// caller owns failing it) and `item` is accepted. If `cls` is itself
+  /// (tied for) the lowest, the incoming item sheds instead (Full, item
+  /// untouched).
   PushResult try_push_evict(T& item, std::size_t cls, std::optional<T>& evicted) {
     evicted.reset();
     {

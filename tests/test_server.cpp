@@ -1,6 +1,7 @@
 // Tests for the multi-model serving front-end: the bounded-FIFO contract of
-// a single-class util::PriorityBucketQueue, ModelRegistry hot-swap
-// ownership, and the Server's three acceptance guarantees — (a) per-sample
+// a single-class util::PriorityBucketQueue, the Server's name -> engine
+// table (generations, leases across a hot-swap, per-name counters), and the
+// Server's three acceptance guarantees — (a) per-sample
 // results through the Server are bitwise-identical to a direct Engine
 // forward for every registered model under >=4 concurrent client threads,
 // (b) hot-swap during sustained traffic loses no request and never mixes
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,10 +27,10 @@
 #include "models/lenet.hpp"
 #include "models/resnet.hpp"
 #include "runtime/model_artifact.hpp"
-#include "runtime/model_registry.hpp"
 #include "runtime/server.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
+#include "util/fault_injector.hpp"
 #include "util/priority_bucket_queue.hpp"
 #include "util/thread_pool.hpp"
 
@@ -41,25 +43,32 @@ using namespace std::chrono_literals;
 
 constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 
+/// Non-blocking class-0 push. For the lowest class try_push_evict never
+/// evicts: a full queue sheds the incoming item.
+util::PushResult try_push_lowest(util::PriorityBucketQueue<int>& queue, int& item) {
+  std::optional<int> evicted;
+  return queue.try_push_evict(item, 0, evicted);
+}
+
 TEST(SingleClassQueue, TryPushShedsAtCapacity) {
   util::PriorityBucketQueue<int> queue(1, 2);
   int a = 1, b = 2, c = 3;
-  EXPECT_EQ(queue.try_push(a, 0), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(b, 0), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Full);
+  EXPECT_EQ(try_push_lowest(queue, a), util::PushResult::Ok);
+  EXPECT_EQ(try_push_lowest(queue, b), util::PushResult::Ok);
+  EXPECT_EQ(try_push_lowest(queue, c), util::PushResult::Full);
   EXPECT_EQ(c, 3);  // rejected item is untouched
   EXPECT_EQ(queue.size(), 2u);
 
   std::vector<int> batch;
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 2u);
-  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Ok);  // space freed
+  EXPECT_EQ(try_push_lowest(queue, c), util::PushResult::Ok);  // space freed
 }
 
 TEST(SingleClassQueue, UnboundedNeverSheds) {
   util::PriorityBucketQueue<int> queue(1);  // capacity 0 = unbounded
   for (int i = 0; i < 1000; ++i) {
     int v = i;
-    ASSERT_EQ(queue.try_push(v, 0), util::PushResult::Ok);
+    ASSERT_EQ(try_push_lowest(queue, v), util::PushResult::Ok);
   }
   EXPECT_EQ(queue.size(), 1000u);
 }
@@ -108,14 +117,14 @@ TEST(SingleClassQueue, CloseWakesBlockedProducerWithItemIntact) {
   batch.clear();
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 0u);
   int late = 7;
-  EXPECT_EQ(queue.try_push(late, 0), util::PushResult::Closed);
+  EXPECT_EQ(try_push_lowest(queue, late), util::PushResult::Closed);
 }
 
 TEST(SingleClassQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
   util::PriorityBucketQueue<int> queue(1, 8);
   for (int v : {1, 1, 1, 2, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+    ASSERT_EQ(try_push_lowest(queue, item), util::PushResult::Ok);
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   std::vector<int> batch;
@@ -144,7 +153,7 @@ TEST(SingleClassQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
   util::PriorityBucketQueue<int> queue(1, 8);
   for (int v : {1, 1, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+    ASSERT_EQ(try_push_lowest(queue, item), util::PushResult::Ok);
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   // The caller's vector already holds unrelated elements from a previous
@@ -161,7 +170,7 @@ TEST(SingleClassQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
   // empty deque, then see close() and return 0.
   util::PriorityBucketQueue<int> queue(1, 8);
   int item = 1;
-  ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+  ASSERT_EQ(try_push_lowest(queue, item), util::PushResult::Ok);
 
   std::atomic<std::size_t> a_popped{999};
   std::thread consumer_a([&] {
@@ -184,7 +193,7 @@ TEST(SingleClassQueue, FullQueueSkipsStragglerWaitWhenWantExceedsCapacity) {
   util::PriorityBucketQueue<int> queue(1, 2);
   for (int v : {1, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+    ASSERT_EQ(try_push_lowest(queue, item), util::PushResult::Ok);
   }
   const auto start = std::chrono::steady_clock::now();
   std::vector<int> batch;
@@ -270,35 +279,41 @@ bool matches(const Tensor& actual, const Tensor& expected) {
                      static_cast<std::size_t>(actual.numel()) * sizeof(float)) == 0;
 }
 
-// ---------------------------------------------------------------- ModelRegistry
+// ---------------------------------------------------------- name -> engine table
 
-TEST(ModelRegistry, InstallSwapEraseLifecycle) {
-  runtime::ModelRegistry registry;
-  EXPECT_THROW(registry.acquire("m"), runtime::UnknownModelError);
-  EXPECT_EQ(registry.try_acquire("m"), nullptr);
-  EXPECT_EQ(registry.generation("m"), 0u);
+TEST(Server, DeploySwapUndeployLifecycle) {
+  runtime::Server server;
+  EXPECT_THROW(server.lease("m"), runtime::UnknownModelError);
+  EXPECT_THROW(server.stats("m"), runtime::UnknownModelError);
+  EXPECT_FALSE(server.has_model("m"));
+  EXPECT_EQ(server.generation("m"), 0u);
 
-  Rng rng(7);
-  auto first = std::make_shared<runtime::Engine>(models::make_lenet5(models::Variant::PecanD, rng));
-  auto second = std::make_shared<runtime::Engine>(models::make_lenet5(models::Variant::PecanD, rng));
+  Rng rng(7), data(313);
+  const Tensor batch = lenet_batch(data, 1);
+  EXPECT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng)), 1u);
+  const std::shared_ptr<runtime::Engine> first = server.lease("m");
+  const Tensor first_logits = server.forward_batch("m", batch);
+  EXPECT_TRUE(server.has_model("m"));
+  EXPECT_EQ(server.models(), std::vector<std::string>{"m"});
 
-  runtime::ModelRegistry::InstallResult r1 = registry.install("m", first);
-  EXPECT_EQ(r1.generation, 1u);
-  EXPECT_EQ(r1.retired, nullptr);
-  EXPECT_EQ(registry.acquire("m"), first);
-  EXPECT_TRUE(registry.contains("m"));
-  EXPECT_EQ(registry.size(), 1u);
+  // Hot-swap: generation 2 takes new requests, while the lease taken before
+  // the swap keeps generation 1 alive and answering with its own weights.
+  EXPECT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng)), 2u);
+  EXPECT_EQ(server.generation("m"), 2u);
+  EXPECT_NE(server.lease("m"), first);
+  EXPECT_EQ(server.stats("m").deploys, 2u);
+  EXPECT_FALSE(matches(server.forward_batch("m", batch), first_logits));
+  EXPECT_TRUE(matches(first->forward_batch(batch), first_logits));
 
-  runtime::ModelRegistry::InstallResult r2 = registry.install("m", second);
-  EXPECT_EQ(r2.generation, 2u);
-  EXPECT_EQ(r2.retired, first);  // retired engine handed back for out-of-lock teardown
-  EXPECT_EQ(registry.acquire("m"), second);
-  EXPECT_EQ(registry.generation("m"), 2u);
+  server.undeploy("m");
+  EXPECT_THROW(server.lease("m"), runtime::UnknownModelError);
+  EXPECT_FALSE(server.has_model("m"));
+  EXPECT_EQ(server.generation("m"), 0u);
+  EXPECT_TRUE(matches(first->forward_batch(batch), first_logits));
 
-  EXPECT_EQ(registry.erase("m"), second);
-  EXPECT_EQ(registry.erase("m"), nullptr);
-  EXPECT_THROW(registry.acquire("m"), runtime::UnknownModelError);
-  EXPECT_THROW(registry.install("m", nullptr), std::invalid_argument);
+  // Generation and counters restart together after an undeploy.
+  EXPECT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng)), 1u);
+  EXPECT_EQ(server.stats("m").deploys, 1u);
 }
 
 // ------------------------------------------- (a) multi-model bitwise identity
@@ -535,6 +550,60 @@ TEST(Server, RejectModeShedsWithDistinctErrorWhileAcceptedComplete) {
   EXPECT_EQ(stats.engine.shed, shed.load());
   EXPECT_EQ(stats.engine.requests, accepted.load());
   EXPECT_EQ(stats.engine.queue_depth, 0);  // all drained
+}
+
+// Sheds are booked to the name that shed them, whichever generation served
+// it: shed_total sums both generations of "m" and stays 0 for "n", each
+// engine's own counter covers its generation only, and an undeploy restarts
+// the name's count.
+TEST(Server, RejectShedsAreBookedToTheirNameAcrossHotSwap) {
+  util::set_global_threads(1);
+  runtime::EngineConfig config;
+  config.max_batch = 1;
+  config.max_pending = 1;
+  config.backpressure = runtime::Backpressure::Reject;
+  const auto lenet = [] {
+    Rng rng(7);
+    return models::make_lenet5(models::Variant::PecanD, rng);
+  };
+  runtime::Server server;
+  server.deploy("m", lenet(), config);
+  server.deploy("n", lenet(), config);
+  Rng data(317);
+  const Tensor sample = nth_sample(lenet_batch(data, 1), 0);
+
+  // The batcher wedges on its first batch, so the 1-deep queue fills and one
+  // of the next two submits sheds.
+  std::vector<std::future<Tensor>> accepted;
+  const auto shed_once = [&] {
+    util::FaultInjector::instance().arm("engine.stall", {1.0, 1, 300});
+    int sheds = 0;
+    for (int i = 0; i < 3 && sheds == 0; ++i) {
+      try {
+        accepted.push_back(server.submit("m", sample));
+      } catch (const runtime::OverloadedError&) {
+        ++sheds;
+      }
+    }
+    EXPECT_EQ(sheds, 1);
+  };
+  shed_once();
+  const std::shared_ptr<runtime::Engine> first = server.lease("m");
+  EXPECT_EQ(server.deploy("m", lenet(), config), 2u);
+  shed_once();
+  for (std::future<Tensor>& future : accepted) EXPECT_EQ(future.get().numel(), 10);
+  util::FaultInjector::instance().disarm_all();
+
+  const runtime::ModelServerStats stats = server.stats("m");
+  EXPECT_EQ(stats.generation, 2u);
+  EXPECT_EQ(stats.shed_total, 2u);
+  EXPECT_EQ(stats.engine.shed, 1u);
+  EXPECT_EQ(first->stats().shed, 1u);
+  EXPECT_EQ(server.stats("n").shed_total, 0u);
+
+  server.undeploy("m");
+  server.deploy("m", lenet(), config);
+  EXPECT_EQ(server.stats("m").shed_total, 0u);
 }
 
 TEST(Server, PriorityClassesShedLowestFirstUnderOverload) {

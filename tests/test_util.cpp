@@ -64,6 +64,13 @@ TEST(Cli, TracksUnusedKeys) {
   EXPECT_EQ(unused[0], "typoed");
 }
 
+/// Non-blocking class-0 push. For the lowest class try_push_evict never
+/// evicts: a full queue sheds the incoming item.
+PushResult try_push_lowest(PriorityBucketQueue<int>& queue, int& item) {
+  std::optional<int> evicted;
+  return queue.try_push_evict(item, 0, evicted);
+}
+
 // The serving-path invariant behind Engine::shutdown: every sample the queue
 // ACCEPTED is answered exactly once, even when close() races consumers that
 // are mid-coalesce inside pop_batch (straggler wait) and producers that are
@@ -91,7 +98,7 @@ TEST(SingleClassQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
           // Alternate blocking and shedding pushes: both must agree with the
           // consumer side about what was accepted.
           const PushResult result =
-              (i % 2 == 0) ? queue.push(item, 0) : queue.try_push(item, 0);
+              (i % 2 == 0) ? queue.push(item, 0) : try_push_lowest(queue, item);
           if (result == PushResult::Ok) {
             std::lock_guard<std::mutex> lock(accepted_mutex);
             accepted.push_back(value);
@@ -143,7 +150,7 @@ TEST(SingleClassQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
   PriorityBucketQueue<int> queue(1, 16);
   for (int v : {1, 2, 3}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+    ASSERT_EQ(try_push_lowest(queue, item), PushResult::Ok);
   }
 
   std::vector<int> batch;
@@ -171,7 +178,9 @@ constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 int push_pq(PriorityBucketQueue<int>& q, std::size_t cls, int seq) {
   int item = static_cast<int>(cls) * 1000 + seq;
   const int value = item;
-  EXPECT_EQ(q.try_push(item, cls), PushResult::Ok);
+  std::optional<int> evicted;
+  EXPECT_EQ(q.try_push_evict(item, cls, evicted), PushResult::Ok);
+  EXPECT_FALSE(evicted.has_value());
   return value;
 }
 
@@ -232,9 +241,6 @@ TEST(PriorityBucketQueue, RejectModeShedsLowestClassFirst) {
 
   // Full queue + lowest-class arrival: the INCOMING item sheds (Full), and
   // the rejected item is left intact in the caller's hands.
-  int low = 7;
-  EXPECT_EQ(q.try_push(low, 0), PushResult::Full);
-  EXPECT_EQ(low, 7);
   std::optional<int> evicted;
   int low2 = 8;
   EXPECT_EQ(q.try_push_evict(low2, 0, evicted), PushResult::Full);
@@ -272,14 +278,13 @@ TEST(PriorityBucketQueue, SoftCapacityTightensAndReopensAdmission) {
   push_pq(q, 0, 1);
   q.set_soft_capacity(2);  // controller clamps admission below the hard bound
   int item = 42;
-  EXPECT_EQ(q.try_push(item, 1), PushResult::Full);
   std::optional<int> evicted;
   EXPECT_EQ(q.try_push_evict(item, 1, evicted), PushResult::Ok);  // evicts under the cap
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(q.size(), 2u);
   q.set_soft_capacity(0);  // back to the hard bound
   int more = 43;
-  EXPECT_EQ(q.try_push(more, 0), PushResult::Ok);
+  EXPECT_EQ(q.try_push_evict(more, 0, evicted), PushResult::Ok);
   EXPECT_EQ(q.size(), 3u);
 }
 
